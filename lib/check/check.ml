@@ -56,9 +56,21 @@ let result a = (a.items, List.rev a.rev)
 
 let tlb_coherence machine ~tables =
   let a = acc () in
+  let seen = Hashtbl.create 64 in
   Array.iter
     (fun core ->
+      Hashtbl.reset seen;
       Tlb.iter_valid core.Machine.tlb (fun ~asid ~vpn ~frame ->
+          (* [Tlb.lookup] stops at the first match: that is exact only
+             while no core holds a page twice. *)
+          (match Hashtbl.find_opt seen (asid, vpn) with
+          | Some first ->
+            a.rev <-
+              finding "tlb-coherence"
+                "core %d holds asid %d vpn %d twice (frames %d and %d)"
+                core.Machine.core_id asid vpn first frame
+              :: a.rev
+          | None -> Hashtbl.replace seen (asid, vpn) frame);
           match List.assoc_opt asid tables with
           | None -> ()
           | Some pt -> (

@@ -52,7 +52,10 @@ val tlb_coherence :
 (** Walk every valid TLB entry of every core; an entry whose [asid] is
     registered in [tables] must agree with that address space's live page
     table (same frame, still mapped).  Entries for unregistered asids are
-    skipped — the oracle cannot know their truth. *)
+    skipped — the oracle cannot know their truth.  Independently of
+    [tables], no core may hold two valid entries for one [(asid, vpn)]:
+    {!Svagc_vmem.Tlb.lookup}'s early exit is exact only without such
+    duplicates. *)
 
 val shootdown_flushed :
   Svagc_vmem.Machine.t -> asid:int -> int * finding list

@@ -20,9 +20,16 @@ let move ?measure_core ?(cold = false) aspace ~src ~dst ~len =
   else begin
     (* A page-chunked in-place copy would need direction analysis for
        overlap; staging through a buffer gives memmove semantics simply and
-       the simulated cost is charged analytically anyway. *)
-    let data = Address_space.read_bytes aspace ~va:src ~len in
-    Address_space.write_bytes aspace ~va:dst ~src:data;
+       the simulated cost is charged analytically anyway.  The buffer is
+       this domain's reusable one.  Every source chunk is read before any
+       destination chunk is written, so under reclaim the demand faults and
+       evictions happen in source-then-destination order. *)
+    let scratch = Machine.hot_scratch machine in
+    if Bytes.length scratch.Machine.hs_copy_buf < len then
+      scratch.Machine.hs_copy_buf <- Bytes.create len;
+    let buf = scratch.Machine.hs_copy_buf in
+    Address_space.read_into aspace ~va:src ~len buf;
+    Address_space.write_from aspace ~va:dst ~src:buf ~len;
     machine.Machine.perf.Perf.memmove_calls <-
       machine.Machine.perf.Perf.memmove_calls + 1;
     machine.Machine.perf.Perf.bytes_copied <-

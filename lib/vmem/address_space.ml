@@ -94,17 +94,23 @@ let iter_chunks t ~va ~len f =
     remaining := !remaining - chunk
   done
 
-let read_bytes t ~va ~len =
-  let out = Bytes.create len in
+let read_into t ~va ~len dst =
+  if len > Bytes.length dst then invalid_arg "Address_space.read_into: buffer too short";
   iter_chunks t ~va ~len (fun ~frame ~off ~chunk ~at ->
       let src = Phys_mem.frame_bytes t.machine.Machine.phys frame in
-      Bytes.blit src off out at chunk);
+      Bytes.blit src off dst at chunk)
+
+let read_bytes t ~va ~len =
+  let out = Bytes.create len in
+  read_into t ~va ~len out;
   out
 
-let write_bytes t ~va ~src =
-  let len = Bytes.length src in
+let write_from t ~va ~src ~len =
+  if len > Bytes.length src then invalid_arg "Address_space.write_from: buffer too short";
   iter_chunks t ~va ~len (fun ~frame ~off ~chunk ~at ->
       Phys_mem.write t.machine.Machine.phys ~frame ~off ~src ~src_off:at ~len:chunk)
+
+let write_bytes t ~va ~src = write_from t ~va ~src ~len:(Bytes.length src)
 
 let read_u8 t ~va =
   let frame, off = frame_of_exn t va in
@@ -190,35 +196,58 @@ let checksum t ~va ~len =
         done);
   !h
 
-let touch t ~core ~va =
-  let c = Machine.core t.machine core in
+(* The frame behind [va]'s page through [tlb]: a hit marks the page
+   referenced for reclaim; a miss demand-faults a swapped page back in
+   (frame_of_exn runs the fault handler, and marks the page referenced)
+   and refills the TLB.  Swap-out scrubs the page from every TLB, so a
+   hit always means present. *)
+let tlb_frame t tlb ~va =
   let vpn = Addr.page_number va in
-  let frame =
-    match Tlb.lookup c.Machine.tlb ~asid:t.asid ~vpn with
-    | Some frame ->
-      (match t.machine.Machine.reclaim with
-      | None -> ()
-      | Some r -> r.Machine.ri_page_touched ~asid:t.asid ~va);
-      frame
-    | None ->
-      (* TLB miss: a swapped page demand-faults here (frame_of_exn runs
-         the fault handler), after which the refill proceeds normally.
-         Swap-out scrubs the page from every TLB, so a hit above always
-         means present. *)
-      let frame, _off = frame_of_exn t va in
-      Tlb.insert c.Machine.tlb ~asid:t.asid ~vpn ~frame;
-      frame
-  in
+  let frame = Tlb.lookup tlb ~asid:t.asid ~vpn in
+  if frame >= 0 then begin
+    (match t.machine.Machine.reclaim with
+    | None -> ()
+    | Some r -> r.Machine.ri_page_touched ~asid:t.asid ~va);
+    frame
+  end
+  else begin
+    let frame, _off = frame_of_exn t va in
+    Tlb.insert tlb ~asid:t.asid ~vpn ~frame;
+    frame
+  end
+
+let touch t ~core ~va =
+  let frame = tlb_frame t (Machine.core t.machine core).Machine.tlb ~va in
   let pa = (frame * Addr.page_size) + Addr.page_offset va in
   Cache_sim.access t.machine.Machine.llc ~addr:pa
 
+(* Page-batched {!touch} of every line in the range.  Per page, the first
+   line does the real probe (and refill); the page's other k - 1 lines
+   would all hit the entry just probed — nothing between them can evict
+   it — so they are credited in bulk with [Tlb.repeat_hits], which leaves
+   exactly the state k - 1 back-to-back hits leave.  Their reclaim
+   notifications are dropped because [ri_page_touched] only sets the
+   page's referenced bit, which the first line already set.  LLC accesses
+   stay one per line, in address order. *)
 let touch_range t ~core ~va ~len =
   if len > 0 then begin
-    let line = Cache_sim.line_bytes t.machine.Machine.llc in
-    let pos = ref (va - (va mod line)) in
-    while !pos < va + len do
-      touch t ~core ~va:!pos;
-      pos := !pos + line
+    let tlb = (Machine.core t.machine core).Machine.tlb in
+    let llc = t.machine.Machine.llc in
+    let line = Cache_sim.line_bytes llc in
+    let stop = va + len in
+    let pos = ref (va land lnot (line - 1)) in
+    while !pos < stop do
+      let page_va = !pos in
+      let vpn = Addr.page_number page_va in
+      let page_stop = min stop (Addr.of_page (vpn + 1)) in
+      let lines = (page_stop - page_va + line - 1) / line in
+      let frame = tlb_frame t tlb ~va:page_va in
+      Tlb.repeat_hits tlb ~asid:t.asid ~vpn ~n:(lines - 1);
+      let pa = (frame * Addr.page_size) + Addr.page_offset page_va in
+      for k = 0 to lines - 1 do
+        Cache_sim.access llc ~addr:(pa + (k * line))
+      done;
+      pos := page_va + (lines * line)
     done
   end
 

@@ -51,7 +51,15 @@ val peek_bytes : t -> va:int -> len:int -> bytes
 val peek_i64 : t -> va:int -> int64
 (** Non-faulting little-endian 64-bit read (see {!peek_bytes}). *)
 
+val read_into : t -> va:int -> len:int -> bytes -> unit
+(** {!read_bytes} into the first [len] bytes of a caller-owned buffer.
+    @raise Invalid_argument if the buffer is shorter than [len]. *)
+
 val write_bytes : t -> va:int -> src:bytes -> unit
+
+val write_from : t -> va:int -> src:bytes -> len:int -> unit
+(** {!write_bytes} of the first [len] bytes of [src].
+    @raise Invalid_argument if [src] is shorter than [len]. *)
 
 val read_u8 : t -> va:int -> int
 
@@ -74,6 +82,8 @@ val touch : t -> core:int -> va:int -> unit
     @raise Invalid_argument if unmapped. *)
 
 val touch_range : t -> core:int -> va:int -> len:int -> unit
-(** {!touch} every cache line of the range (one TLB interaction per page). *)
+(** {!touch} every cache line of the range, leaving exactly the TLB, LLC
+    and reclaim state a per-line {!touch} loop would, for one real TLB
+    probe per page. *)
 
 val mapped_pages : t -> int

@@ -12,10 +12,15 @@ type stats = {
 }
 
 val create : ?size_bytes:int -> ?line_bytes:int -> ?ways:int -> unit -> t
-(** Defaults: 8 MiB, 64 B lines, 16-way. *)
+(** Defaults: 8 MiB, 64 B lines, 16-way.
+    @raise Invalid_argument unless [line_bytes] and the set count
+    ([size_bytes / line_bytes / ways]) are powers of two and [size_bytes]
+    is a positive multiple of [line_bytes * ways]. *)
 
 val access : t -> addr:int -> unit
-(** Touch one physical address (one line). *)
+(** Touch one physical address (one line): a hit refreshes the line's
+    recency; a miss fills the set's first invalid way, else its least
+    recently used one. *)
 
 val access_range : t -> addr:int -> len:int -> unit
 (** Touch every line in [\[addr, addr+len)]. *)

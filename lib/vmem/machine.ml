@@ -36,13 +36,17 @@ type reclaim_iface = {
    Domain_slot) owns its own buffers and memo, so a pool worker can
    never scribble over another stream's half-built run list.  Memo
    contents only affect which computations are skipped, never their
-   results, so per-domain memos cannot perturb bit-identity either. *)
+   results, so per-domain memos cannot perturb bit-identity either.
+
+   [hs_copy_buf] is memmove's staging buffer, grown to the largest copy
+   the stream has made. *)
 type hot_scratch = {
   hs_src_runs : Page_table.run_buf;
   hs_dst_runs : Page_table.run_buf;
   hs_memo_acc : float array;
   hs_memo_enc : int array;
   hs_memo_out : float array;
+  mutable hs_copy_buf : Bytes.t;
 }
 
 let memo_slots = 8192
@@ -109,6 +113,7 @@ let hot_scratch t =
         hs_memo_acc = Array.make memo_slots 0.0;
         hs_memo_enc = Array.make memo_slots 0;
         hs_memo_out = Array.make memo_slots 0.0;
+        hs_copy_buf = Bytes.empty;
       }
     in
     t.scratch.(slot) <- Some s;

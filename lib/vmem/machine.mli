@@ -78,19 +78,21 @@ type t = {
           (indexed by [Svagc_util.Domain_slot]); use {!hot_scratch}. *)
 }
 
-(** Machine-owned scratch for the flat SwapVA engine: reusable src/dst
+(** Machine-owned scratch for the flat SwapVA engine (reusable src/dst
     run buffers plus a direct-mapped memo for the bulk steady-state PTE
-    charge.  The memo key is (exact accumulated-cost float, page count,
-    cached flag) and the stored value is the exact float the reference
-    loop produced for that key, so hits are bit-identical by
-    construction — the memo only skips re-running a pure deterministic
-    serial float chain. *)
+    charge) and for memmove (a reusable staging buffer).  The memo key
+    is (exact accumulated-cost float, page count, cached flag) and the
+    stored value is the exact float the reference loop produced for that
+    key, so hits are bit-identical by construction — the memo only skips
+    re-running a pure deterministic serial float chain. *)
 and hot_scratch = {
   hs_src_runs : Page_table.run_buf;
   hs_dst_runs : Page_table.run_buf;
   hs_memo_acc : float array;
   hs_memo_enc : int array;  (** [(pages lsl 1) lor cached]; 0 = empty slot *)
   hs_memo_out : float array;
+  mutable hs_copy_buf : Bytes.t;
+      (** Memmove's staging buffer, grown to the largest copy so far. *)
 }
 
 val memo_slots : int

@@ -1,11 +1,3 @@
-type entry = {
-  mutable valid : bool;
-  mutable asid : int;
-  mutable vpn : int;
-  mutable frame : int;
-  mutable stamp : int;
-}
-
 type stats = {
   mutable hits : int;
   mutable misses : int;
@@ -14,78 +6,121 @@ type stats = {
   mutable flushes_page : int;
 }
 
+(* Set-major flat layout: set [s]'s ways occupy [s * ways .. s * ways +
+   ways - 1] of the four parallel arrays; [asids.(i) = -1] marks an invalid
+   way.  Unlike the LLC, flushes punch holes anywhere in a set, so a fill
+   scans the whole set for its first invalid way. *)
 type t = {
-  sets : entry array array;
+  asids : int array;
+  vpns : int array;
+  frames : int array;
+  stamps : int array;
   n_sets : int;
+  ways : int;
   mutable tick : int;
   st : stats;
 }
 
 let create ?(entries = 64) ?(ways = 4) () =
-  if entries mod ways <> 0 then invalid_arg "Tlb.create: entries must divide by ways";
-  let n_sets = entries / ways in
-  let fresh () = { valid = false; asid = 0; vpn = 0; frame = 0; stamp = 0 } in
+  if ways <= 0 then
+    invalid_arg (Printf.sprintf "Tlb.create: ways = %d must be positive" ways);
+  if entries <= 0 || entries mod ways <> 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Tlb.create: entries = %d must be a positive multiple of ways = %d"
+         entries ways);
   {
-    sets = Array.init n_sets (fun _ -> Array.init ways (fun _ -> fresh ()));
-    n_sets;
+    asids = Array.make entries (-1);
+    vpns = Array.make entries 0;
+    frames = Array.make entries 0;
+    stamps = Array.make entries 0;
+    n_sets = entries / ways;
+    ways;
     tick = 0;
     st = { hits = 0; misses = 0; flushes_full = 0; flushes_asid = 0; flushes_page = 0 };
   }
 
-let set_of t vpn = t.sets.(vpn mod t.n_sets)
+let check_asid fn asid =
+  if asid < 0 then invalid_arg (Printf.sprintf "Tlb.%s: negative asid %d" fn asid)
+
+(* Index of the valid way holding [(asid, vpn)], or -1.  Stopping at the
+   first match is exact because an [(asid, vpn)] pair is resident at most
+   once: the only fill path ([Address_space.touch]) inserts after a miss
+   for that same pair, and [Check.tlb_coherence] reports duplicates. *)
+let find t ~asid ~vpn =
+  let base = (vpn mod t.n_sets) * t.ways in
+  let last = base + t.ways - 1 in
+  let i = ref base in
+  while !i <= last && not (t.asids.(!i) = asid && t.vpns.(!i) = vpn) do
+    incr i
+  done;
+  if !i > last then -1 else !i
 
 let lookup t ~asid ~vpn =
+  check_asid "lookup" asid;
   t.tick <- t.tick + 1;
-  let set = set_of t vpn in
-  let found = ref None in
-  Array.iter
-    (fun e ->
-      if e.valid && e.asid = asid && e.vpn = vpn then begin
-        e.stamp <- t.tick;
-        found := Some e.frame
-      end)
-    set;
-  (match !found with
-  | Some _ -> t.st.hits <- t.st.hits + 1
-  | None -> t.st.misses <- t.st.misses + 1);
-  !found
+  let i = find t ~asid ~vpn in
+  if i < 0 then begin
+    t.st.misses <- t.st.misses + 1;
+    -1
+  end
+  else begin
+    t.st.hits <- t.st.hits + 1;
+    t.stamps.(i) <- t.tick;
+    t.frames.(i)
+  end
+
+let repeat_hits t ~asid ~vpn ~n =
+  if n > 0 then begin
+    let i = find t ~asid ~vpn in
+    if i < 0 then
+      invalid_arg
+        (Printf.sprintf "Tlb.repeat_hits: asid %d vpn %d is not resident" asid vpn);
+    t.tick <- t.tick + n;
+    t.st.hits <- t.st.hits + n;
+    t.stamps.(i) <- t.tick
+  end
 
 let insert t ~asid ~vpn ~frame =
+  check_asid "insert" asid;
   t.tick <- t.tick + 1;
-  let set = set_of t vpn in
-  let victim = ref set.(0) in
-  Array.iter
-    (fun e ->
-      (* Prefer an invalid way; otherwise evict the least recently used. *)
-      if not e.valid then begin
-        if !victim.valid then victim := e
-      end
-      else if !victim.valid && e.stamp < !victim.stamp then victim := e)
-    set;
-  let e = !victim in
-  e.valid <- true;
-  e.asid <- asid;
-  e.vpn <- vpn;
-  e.frame <- frame;
-  e.stamp <- t.tick
-
-let iter_entries t f = Array.iter (fun set -> Array.iter f set) t.sets
+  let base = (vpn mod t.n_sets) * t.ways in
+  let last = base + t.ways - 1 in
+  (* Prefer the first invalid way; otherwise evict the first least
+     recently used one. *)
+  let i = ref base and victim = ref base in
+  while !i <= last && t.asids.(!i) <> -1 do
+    if t.stamps.(!i) < t.stamps.(!victim) then victim := !i;
+    incr i
+  done;
+  let v = if !i > last then !victim else !i in
+  t.asids.(v) <- asid;
+  t.vpns.(v) <- vpn;
+  t.frames.(v) <- frame;
+  t.stamps.(v) <- t.tick
 
 let iter_valid t f =
-  iter_entries t (fun e ->
-      if e.valid then f ~asid:e.asid ~vpn:e.vpn ~frame:e.frame)
+  for i = 0 to Array.length t.asids - 1 do
+    if t.asids.(i) <> -1 then f ~asid:t.asids.(i) ~vpn:t.vpns.(i) ~frame:t.frames.(i)
+  done
 
 let flush_all t =
   t.st.flushes_full <- t.st.flushes_full + 1;
-  iter_entries t (fun e -> e.valid <- false)
+  Array.fill t.asids 0 (Array.length t.asids) (-1)
 
 let flush_asid t ~asid =
   t.st.flushes_asid <- t.st.flushes_asid + 1;
-  iter_entries t (fun e -> if e.asid = asid then e.valid <- false)
+  for i = 0 to Array.length t.asids - 1 do
+    if t.asids.(i) = asid then t.asids.(i) <- -1
+  done
 
+(* Only [vpn]'s set can hold the page. *)
 let flush_page t ~asid ~vpn =
   t.st.flushes_page <- t.st.flushes_page + 1;
-  iter_entries t (fun e -> if e.asid = asid && e.vpn = vpn then e.valid <- false)
+  let base = (vpn mod t.n_sets) * t.ways in
+  for i = base to base + t.ways - 1 do
+    if t.asids.(i) = asid && t.vpns.(i) = vpn then t.asids.(i) <- -1
+  done
 
 let stats t = t.st
 
@@ -96,9 +131,7 @@ let reset_stats t =
   t.st.flushes_asid <- 0;
   t.st.flushes_page <- 0
 
-let entries t = t.n_sets * Array.length t.sets.(0)
+let entries t = Array.length t.asids
 
 let occupied t =
-  let n = ref 0 in
-  iter_entries t (fun e -> if e.valid then incr n);
-  !n
+  Array.fold_left (fun n a -> if a <> -1 then n + 1 else n) 0 t.asids

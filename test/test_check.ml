@@ -189,6 +189,27 @@ let test_oracle_catches_stale_tlb () =
   (* And a shootdown that left an entry behind. *)
   check_finds "unflushed entry" (Check.shootdown_flushed machine ~asid)
 
+let test_oracle_catches_duplicate_tlb_entry () =
+  let machine = fresh_machine () in
+  let _proc, aspace = proc_with_arena machine in
+  let asid = Address_space.asid aspace in
+  let tables = [ (asid, Address_space.page_table aspace) ] in
+  (* A coherent entry from a real touch, then a second fill of the same
+     page with the same (correct) frame: only uniqueness is violated. *)
+  Address_space.touch aspace ~core:0 ~va:Differential.arena_base;
+  let vpn = Differential.arena_base / Addr.page_size in
+  let frame =
+    match Address_space.translate aspace ~va:Differential.arena_base with
+    | Some (f, _) -> f
+    | None -> Alcotest.fail "arena unmapped"
+  in
+  Tlb.insert (Machine.core machine 0).Machine.tlb ~asid ~vpn ~frame;
+  let _, findings = Check.tlb_coherence machine ~tables in
+  Alcotest.(check (list string)) "one duplicate-entry finding"
+    [ Printf.sprintf "core 0 holds asid %d vpn %d twice (frames %d and %d)" asid vpn
+        frame frame ]
+    (List.map (fun f -> f.Check.detail) findings)
+
 let test_oracle_accepts_coherent_tlb () =
   let machine = fresh_machine () in
   let _proc, aspace = proc_with_arena machine in
@@ -332,6 +353,8 @@ let () =
         [
           Alcotest.test_case "catches stale TLB entries" `Quick
             test_oracle_catches_stale_tlb;
+          Alcotest.test_case "catches duplicate TLB entries" `Quick
+            test_oracle_catches_duplicate_tlb_entry;
           Alcotest.test_case "accepts coherent TLBs" `Quick
             test_oracle_accepts_coherent_tlb;
           Alcotest.test_case "catches counter drift" `Quick

@@ -165,10 +165,10 @@ let prop_pt_model =
 
 let test_tlb_hit_miss () =
   let tlb = Tlb.create () in
-  Alcotest.(check (option int)) "cold miss" None (Tlb.lookup tlb ~asid:1 ~vpn:10);
+  Alcotest.(check int) "cold miss" (-1) (Tlb.lookup tlb ~asid:1 ~vpn:10);
   Tlb.insert tlb ~asid:1 ~vpn:10 ~frame:99;
-  Alcotest.(check (option int)) "hit" (Some 99) (Tlb.lookup tlb ~asid:1 ~vpn:10);
-  Alcotest.(check (option int)) "other asid misses" None
+  Alcotest.(check int) "hit" 99 (Tlb.lookup tlb ~asid:1 ~vpn:10);
+  Alcotest.(check int) "other asid misses" (-1)
     (Tlb.lookup tlb ~asid:2 ~vpn:10);
   let st = Tlb.stats tlb in
   Alcotest.(check int) "hits" 1 st.Tlb.hits;
@@ -179,16 +179,16 @@ let test_tlb_flush_asid () =
   Tlb.insert tlb ~asid:1 ~vpn:1 ~frame:1;
   Tlb.insert tlb ~asid:2 ~vpn:2 ~frame:2;
   Tlb.flush_asid tlb ~asid:1;
-  Alcotest.(check (option int)) "asid 1 gone" None (Tlb.lookup tlb ~asid:1 ~vpn:1);
-  Alcotest.(check (option int)) "asid 2 stays" (Some 2) (Tlb.lookup tlb ~asid:2 ~vpn:2)
+  Alcotest.(check int) "asid 1 gone" (-1) (Tlb.lookup tlb ~asid:1 ~vpn:1);
+  Alcotest.(check int) "asid 2 stays" 2 (Tlb.lookup tlb ~asid:2 ~vpn:2)
 
 let test_tlb_flush_page () =
   let tlb = Tlb.create () in
   Tlb.insert tlb ~asid:1 ~vpn:1 ~frame:1;
   Tlb.insert tlb ~asid:1 ~vpn:2 ~frame:2;
   Tlb.flush_page tlb ~asid:1 ~vpn:1;
-  Alcotest.(check (option int)) "flushed" None (Tlb.lookup tlb ~asid:1 ~vpn:1);
-  Alcotest.(check (option int)) "kept" (Some 2) (Tlb.lookup tlb ~asid:1 ~vpn:2)
+  Alcotest.(check int) "flushed" (-1) (Tlb.lookup tlb ~asid:1 ~vpn:1);
+  Alcotest.(check int) "kept" 2 (Tlb.lookup tlb ~asid:1 ~vpn:2)
 
 let test_tlb_capacity_eviction () =
   let tlb = Tlb.create ~entries:8 ~ways:2 () in
@@ -198,8 +198,8 @@ let test_tlb_capacity_eviction () =
   ignore (Tlb.lookup tlb ~asid:1 ~vpn:0);
   (* vpn 4 is now LRU; inserting vpn 8 must evict it. *)
   Tlb.insert tlb ~asid:1 ~vpn:8 ~frame:8;
-  Alcotest.(check (option int)) "lru evicted" None (Tlb.lookup tlb ~asid:1 ~vpn:4);
-  Alcotest.(check (option int)) "mru kept" (Some 0) (Tlb.lookup tlb ~asid:1 ~vpn:0)
+  Alcotest.(check int) "lru evicted" (-1) (Tlb.lookup tlb ~asid:1 ~vpn:4);
+  Alcotest.(check int) "mru kept" 0 (Tlb.lookup tlb ~asid:1 ~vpn:0)
 
 let test_tlb_occupancy () =
   let tlb = Tlb.create ~entries:8 ~ways:2 () in
@@ -209,7 +209,23 @@ let test_tlb_occupancy () =
   Tlb.flush_all tlb;
   Alcotest.(check int) "flushed" 0 (Tlb.occupied tlb)
 
+let test_tlb_rejects_bad_geometry () =
+  Alcotest.check_raises "zero ways"
+    (Invalid_argument "Tlb.create: ways = 0 must be positive") (fun () ->
+      ignore (Tlb.create ~ways:0 ()));
+  Alcotest.check_raises "entries not a multiple of ways"
+    (Invalid_argument "Tlb.create: entries = 10 must be a positive multiple of ways = 4")
+    (fun () -> ignore (Tlb.create ~entries:10 ()))
+
 (* --- Cache_sim --- *)
+
+let test_cache_rejects_bad_geometry () =
+  Alcotest.check_raises "48-byte lines"
+    (Invalid_argument "Cache_sim.create: line_bytes = 48 is not a power of two")
+    (fun () -> ignore (Cache_sim.create ~line_bytes:48 ()));
+  Alcotest.check_raises "3 sets"
+    (Invalid_argument "Cache_sim.create: 3 sets is not a power of two") (fun () ->
+      ignore (Cache_sim.create ~size_bytes:(3 * 64 * 16) ()))
 
 let test_cache_hit_after_fill () =
   let c = Cache_sim.create ~size_bytes:4096 ~line_bytes:64 ~ways:2 () in
@@ -313,7 +329,7 @@ let test_machine_flush_all_cores () =
   ignore (Machine.flush_tlb_all_cores m ~asid:7 ~from_core:0);
   Array.iter
     (fun c ->
-      Alcotest.(check (option int)) "invalidated" None
+      Alcotest.(check int) "invalidated" (-1)
         (Tlb.lookup c.Machine.tlb ~asid:7 ~vpn:1))
     m.Machine.cores
 
@@ -515,6 +531,7 @@ let () =
           Alcotest.test_case "flush page" `Quick test_tlb_flush_page;
           Alcotest.test_case "LRU eviction" `Quick test_tlb_capacity_eviction;
           Alcotest.test_case "occupancy" `Quick test_tlb_occupancy;
+          Alcotest.test_case "bad geometry rejected" `Quick test_tlb_rejects_bad_geometry;
         ] );
       ( "cache_sim",
         [
@@ -522,6 +539,8 @@ let () =
           Alcotest.test_case "capacity eviction" `Quick test_cache_capacity_eviction;
           Alcotest.test_case "access range" `Quick test_cache_access_range;
           Alcotest.test_case "miss rate" `Quick test_cache_miss_rate;
+          Alcotest.test_case "bad geometry rejected" `Quick
+            test_cache_rejects_bad_geometry;
         ] );
       ( "cost_model",
         [
