@@ -583,30 +583,36 @@ let fleet_cmd =
         queue_limit;
       }
     in
-    if check then Svagc_check.Check.enable ~label:"fleet" ();
-    Report.section
-      (Printf.sprintf "fleet: %d + %d tenants @ %gx overcommit" tenants surge
-         overcommit);
-    let results =
-      List.map
-        (fun kind ->
-          Fleet.run
-            ~collector_of:(Svagc_experiments.Exp_common.collector_of kind)
-            ~label:(Svagc_experiments.Exp_common.collector_name kind)
-            config)
-        collectors
-    in
-    Svagc_experiments.Exp_fleet.print_results results;
-    if check then
-      match Svagc_check.Check.disable () with
-      | Some rep -> if print_check_report rep then exit 1
-      | None -> ()
+    (* Reject a bad config before the banner, as a usage error. *)
+    match Fleet.validate config with
+    | Error msg -> `Error (false, msg)
+    | Ok () ->
+      if check then Svagc_check.Check.enable ~label:"fleet" ();
+      Report.section
+        (Printf.sprintf "fleet: %d + %d tenants @ %gx overcommit" tenants
+           surge overcommit);
+      let results =
+        List.map
+          (fun kind ->
+            Fleet.run
+              ~collector_of:(Svagc_experiments.Exp_common.collector_of kind)
+              ~label:(Svagc_experiments.Exp_common.collector_name kind)
+              config)
+          collectors
+      in
+      Svagc_experiments.Exp_fleet.print_results results;
+      (if check then
+         match Svagc_check.Check.disable () with
+         | Some rep -> if print_check_report rep then exit 1
+         | None -> ());
+      `Ok ()
   in
   Cmd.v (Cmd.info "fleet" ~doc)
     Term.(
-      const run $ tenants $ surge $ overcommit $ steps $ seed $ cgroup_soft
-      $ cgroup_hard $ far_tier_cost $ near_frac $ queue_limit $ collectors
-      $ check_flag)
+      ret
+        (const run $ tenants $ surge $ overcommit $ steps $ seed $ cgroup_soft
+       $ cgroup_hard $ far_tier_cost $ near_frac $ queue_limit $ collectors
+       $ check_flag))
 
 let threshold_cmd =
   let doc = "Print the SwapVA/memmove break-even sweep (Fig. 10)." in

@@ -62,6 +62,11 @@ type result = {
   tier : int * int;  (** final (near_in_use, far_in_use) *)
 }
 
+val validate : config -> (unit, string) Stdlib.result
+(** [Ok ()] for a runnable config, otherwise [Error] with a one-line
+    reason naming the first offending field (checked in declaration
+    order).  Front ends call it before printing anything. *)
+
 val run :
   collector_of:(Svagc_heap.Heap.t -> Svagc_gc.Gc_intf.t) ->
   ?label:string ->
@@ -69,4 +74,5 @@ val run :
   result
 (** Deterministic: same [config] (seed included) and collector replay
     every admission decision, demotion, promotion and percentile to the
-    bit.  @raise Invalid_argument on nonsensical configs. *)
+    bit.  @raise Invalid_argument with {!validate}'s message when the
+    config is rejected. *)

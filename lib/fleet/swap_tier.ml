@@ -79,7 +79,8 @@ let ensure_capacity t n =
     t.gens <- gens'
   end
 
-(* Move the coldest near slot's payload to the far device.  The cold
+(* Move the coldest near slot's payload to the far device — the buffer
+   itself changes hands, no bytes are copied.  The cold
    queue can hold ids whose near residency already ended (faulted back
    in and freed); those are skipped by generation check.  Callers only
    demote when the near device is non-empty, so a live entry exists. *)
@@ -92,8 +93,7 @@ let rec demote_coldest t =
     else begin
       match t.locs.(vid) with
       | Near nslot ->
-        let payload = Swap_dev.read t.near ~slot:nslot in
-        Swap_dev.free_slot t.near nslot;
+        let payload = Swap_dev.take t.near ~slot:nslot in
         let fslot = Swap_dev.alloc_slot t.far in
         Swap_dev.write t.far ~slot:fslot payload;
         t.locs.(vid) <- Far fslot;
@@ -147,22 +147,27 @@ let write t ~slot:vid payload =
   | Far fslot -> Swap_dev.write t.far ~slot:fslot payload
   | Free -> invalid_arg "Swap_tier.write: slot not allocated"
 
-(* A read of a far slot is the promote-on-fault path: the payload comes
-   back over the slow tier (the fault's [d_in_ns] already charged the far
-   latency) and the slot is then freed by the reclaimer as usual, so the
-   page re-enters DRAM. *)
-let read t ~slot:vid =
-  match t.locs.(vid) with
-  | Near nslot -> Swap_dev.read t.near ~slot:nslot
-  | Far fslot ->
-    let perf = t.machine.Machine.perf in
-    perf.Perf.tier_promotions <- perf.Perf.tier_promotions + 1;
-    if Tracer.tracing () then
-      Tracer.instant ~cat:"fleet"
-        ~args:[ ("slot", Svagc_trace.Event.Int vid) ]
-        "tier.promote";
-    Swap_dev.read t.far ~slot:fslot
-  | Free -> invalid_arg "Swap_tier.read: slot not allocated"
+(* The fault-in path: free the virtual id and hand its payload to the
+   caller.  Taking a far slot is a promotion — the payload comes back over
+   the slow tier (the fault's [d_in_ns] already charged the far latency)
+   and the page re-enters DRAM. *)
+let take t ~slot:vid =
+  let payload =
+    match t.locs.(vid) with
+    | Near nslot -> Swap_dev.take t.near ~slot:nslot
+    | Far fslot ->
+      let perf = t.machine.Machine.perf in
+      perf.Perf.tier_promotions <- perf.Perf.tier_promotions + 1;
+      if Tracer.tracing () then
+        Tracer.instant ~cat:"fleet"
+          ~args:[ ("slot", Svagc_trace.Event.Int vid) ]
+          "tier.promote";
+      Swap_dev.take t.far ~slot:fslot
+    | Free -> invalid_arg "Swap_tier.take: slot not allocated"
+  in
+  t.locs.(vid) <- Free;
+  Vec.push t.free vid;
+  payload
 
 let peek t ~slot:vid =
   match t.locs.(vid) with
@@ -184,7 +189,7 @@ let iface t =
     Svagc_reclaim.Reclaim.d_alloc_slot = (fun () -> alloc_slot t);
     d_free_slot = (fun slot -> free_slot t slot);
     d_write = (fun ~slot b -> write t ~slot b);
-    d_read = (fun ~slot -> read t ~slot);
+    d_take = (fun ~slot -> take t ~slot);
     d_peek = (fun ~slot -> peek t ~slot);
     d_allocated = (fun ~slot -> allocated t ~slot);
     d_slots_in_use = (fun () -> slots_in_use t);

@@ -12,9 +12,13 @@
     - when the near tier is full, its {e coldest} slot — oldest
       allocation still near-resident — is demoted to the far tier first
       ([tier_demotions], cost [far_out_ns] folded into the swap-out);
-    - a demand fault that reads a far slot is a promotion
+    - a demand fault that takes a far slot is a promotion
       ([tier_promotions]): the payload returns at far latency and the
-      slot is freed by the reclaimer, so the page re-enters DRAM.
+      slot is freed, so the page re-enters DRAM.
+
+    Payloads move by ownership everywhere: swap-out's buffer is kept by
+    the near device, demotion hands the same buffer to the far device,
+    and the take on fault-in returns it — no tier transition copies.
 
     Deterministic: demotion order is allocation order (a FIFO queue with
     lazy generation invalidation), no randomness, no wall clock. *)

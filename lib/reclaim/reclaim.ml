@@ -25,54 +25,62 @@ type page = {
   p_vpn : int;
   p_pt : Page_table.t;
   mutable p_ref : bool;
-  mutable p_prev : page option;
-  mutable p_next : page option;
+  mutable p_prev : page;
+  mutable p_next : page;
   mutable p_on : whereabouts;
 }
 
-(* Doubly-linked list, head = most recently added. *)
+(* A node off every list links to itself, so a stale link can never keep
+   a dropped neighbour alive. *)
+let unlinked_page ~asid ~vpn ~pt =
+  let rec p =
+    {
+      p_asid = asid;
+      p_vpn = vpn;
+      p_pt = pt;
+      p_ref = true;
+      p_prev = p;
+      p_next = p;
+      p_on = Nowhere;
+    }
+  in
+  p
+
+(* Circular doubly-linked list through a sentinel node: [head.p_next] is
+   the most recently added page, [head.p_prev] the least.  Every link is a
+   plain [page], so pushing, popping and unlinking allocate nothing. *)
 type lru = {
   whereabouts : whereabouts;
-  mutable first : page option;
-  mutable last : page option;
+  head : page;
   mutable size : int;
 }
 
-let lru_create whereabouts = { whereabouts; first = None; last = None; size = 0 }
+let lru_create whereabouts =
+  let head = unlinked_page ~asid:(-1) ~vpn:(-1) ~pt:(Page_table.create ()) in
+  { whereabouts; head; size = 0 }
 
 let lru_push_front l p =
-  p.p_prev <- None;
-  p.p_next <- l.first;
+  let first = l.head.p_next in
+  p.p_prev <- l.head;
+  p.p_next <- first;
   p.p_on <- l.whereabouts;
-  (match l.first with Some q -> q.p_prev <- Some p | None -> l.last <- Some p);
-  l.first <- Some p;
+  first.p_prev <- p;
+  l.head.p_next <- p;
   l.size <- l.size + 1
 
-let lru_pop_back l =
-  match l.last with
-  | None -> None
-  | Some p ->
-    (match p.p_prev with
-    | Some q -> q.p_next <- None
-    | None -> l.first <- None);
-    l.last <- p.p_prev;
-    p.p_prev <- None;
-    p.p_next <- None;
-    p.p_on <- Nowhere;
-    l.size <- l.size - 1;
-    Some p
-
 let lru_remove l p =
-  (match p.p_prev with
-  | Some q -> q.p_next <- p.p_next
-  | None -> l.first <- p.p_next);
-  (match p.p_next with
-  | Some q -> q.p_prev <- p.p_prev
-  | None -> l.last <- p.p_prev);
-  p.p_prev <- None;
-  p.p_next <- None;
+  p.p_prev.p_next <- p.p_next;
+  p.p_next.p_prev <- p.p_prev;
+  p.p_prev <- p;
+  p.p_next <- p;
   p.p_on <- Nowhere;
   l.size <- l.size - 1
+
+(* The least recently added page; the list must be non-empty. *)
+let lru_pop_back l =
+  let p = l.head.p_prev in
+  lru_remove l p;
+  p
 
 (* A pluggable swap device as a record of closures, mirroring the
    dependency inversion of [Machine.reclaim_iface] one level up: the
@@ -83,12 +91,14 @@ let lru_remove l p =
    trigger without mutating anything), [d_in_ns] is the cost of reading
    [slot] (a far-tier slot is slower).  The default device wraps a flat
    {!Swap_dev} with constant costs and is bit-identical to the
-   pre-iface reclaimer. *)
+   pre-iface reclaimer.  Payloads cross the seam by ownership: [d_write]
+   keeps the buffer it is handed and [d_take] frees the slot and hands
+   its buffer back, so no transfer copies bytes. *)
 type dev_iface = {
   d_alloc_slot : unit -> int;
   d_free_slot : int -> unit;
   d_write : slot:int -> bytes option -> unit;
-  d_read : slot:int -> bytes option;
+  d_take : slot:int -> bytes option;
   d_peek : slot:int -> bytes option;
   d_allocated : slot:int -> bool;
   d_slots_in_use : unit -> int;
@@ -113,6 +123,16 @@ type cgroup_iface = {
   cg_stats : unit -> (int * int * int * int) list;
 }
 
+(* Tracking tables keyed by immediate ints.  [Hashtbl.hash] keeps the
+   buckets (and so the iteration order) of the polymorphic table, while
+   [equal] compiles to an integer compare instead of [compare_val]. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   machine : Machine.t;
   dev : dev_iface;
@@ -125,13 +145,13 @@ type t = {
   (* [page_key asid vpn] -> node, for every page on either list.  Which
      list a node is on is recovered by removal sites scanning both — see
      [drop_node]. *)
-  pages : (int, page) Hashtbl.t;
+  pages : page Int_tbl.t;
   (* Secondary index: asid -> (vpn -> node), same membership as [pages].
      The post-GC [adopt_space] resync enumerates ONE tenant's nodes
      through it — iterating the flat table there was O(fleet-wide pages)
      per tenant GC, the quadratic wall of 10k-tenant runs.  Node drops
      are commutative, so enumeration order cannot change any outcome. *)
-  by_asid : (int, (int, page) Hashtbl.t) Hashtbl.t;
+  by_asid : page Int_tbl.t Int_tbl.t;
   mutable pending_ns : float;
   mutable in_kswapd : bool;
   mutable cgroup : cgroup_iface option;
@@ -143,7 +163,7 @@ let flat_dev ~swap_out_ns ~swap_in_ns =
     d_alloc_slot = (fun () -> Swap_dev.alloc_slot d);
     d_free_slot = (fun slot -> Swap_dev.free_slot d slot);
     d_write = (fun ~slot b -> Swap_dev.write d ~slot b);
-    d_read = (fun ~slot -> Swap_dev.read d ~slot);
+    d_take = (fun ~slot -> Swap_dev.take d ~slot);
     d_peek = (fun ~slot -> Swap_dev.peek d ~slot);
     d_allocated = (fun ~slot -> Swap_dev.allocated d ~slot);
     d_slots_in_use = (fun () -> Swap_dev.slots_in_use d);
@@ -176,8 +196,8 @@ let create machine ~limit_frames ?swap_cost_ns ?(max_io_retries = 3) ?dev () =
     max_io_retries;
     active = lru_create On_active;
     inactive = lru_create On_inactive;
-    pages = Hashtbl.create 1024;
-    by_asid = Hashtbl.create 64;
+    pages = Int_tbl.create 1024;
+    by_asid = Int_tbl.create 64;
     pending_ns = 0.0;
     in_kswapd = false;
     cgroup = None;
@@ -189,7 +209,7 @@ let set_cgroup t cg =
      maps during spawn, often before its limits are registered). *)
   match cg with
   | None -> ()
-  | Some c -> Hashtbl.iter (fun _ p -> c.cg_charge ~asid:p.p_asid) t.pages
+  | Some c -> Int_tbl.iter (fun _ p -> c.cg_charge ~asid:p.p_asid) t.pages
 
 let limit_frames t = t.limit
 
@@ -203,19 +223,19 @@ let drain_ns t =
 (* Forget a node: the (asid, vpn) key leaves the tracking table and the
    tenant's resident count drops with it. *)
 let asid_nodes t asid =
-  match Hashtbl.find_opt t.by_asid asid with
+  match Int_tbl.find_opt t.by_asid asid with
   | Some tbl -> tbl
   | None ->
-    let tbl = Hashtbl.create 64 in
-    Hashtbl.add t.by_asid asid tbl;
+    let tbl = Int_tbl.create 64 in
+    Int_tbl.add t.by_asid asid tbl;
     tbl
 
 let untrack t p =
-  Hashtbl.remove t.pages (page_key ~asid:p.p_asid ~vpn:p.p_vpn);
-  (match Hashtbl.find_opt t.by_asid p.p_asid with
+  Int_tbl.remove t.pages (page_key ~asid:p.p_asid ~vpn:p.p_vpn);
+  (match Int_tbl.find_opt t.by_asid p.p_asid with
   | Some tbl ->
-    Hashtbl.remove tbl p.p_vpn;
-    if Hashtbl.length tbl = 0 then Hashtbl.remove t.by_asid p.p_asid
+    Int_tbl.remove tbl p.p_vpn;
+    if Int_tbl.length tbl = 0 then Int_tbl.remove t.by_asid p.p_asid
   | None -> ());
   match t.cgroup with
   | Some cg -> cg.cg_uncharge ~asid:p.p_asid
@@ -248,8 +268,8 @@ let swap_io_ok t ~va ~cost_ns =
   in
   go 0
 
-(* Evict one tracked page: copy its frame to a fresh swap slot, free the
-   frame, leave a swapped PTE behind and scrub every TLB.  Returns false
+(* Evict one tracked page: free its frame, moving the payload into a
+   fresh swap slot, leave a swapped PTE behind and scrub every TLB.  Returns false
    when the eviction was skipped (stale node or device EIO). *)
 let swap_out t (p : page) =
   let perf = t.machine.Machine.perf in
@@ -271,8 +291,7 @@ let swap_out t (p : page) =
   else begin
     let frame = Pte.frame_exn pte in
     let slot = t.dev.d_alloc_slot () in
-    t.dev.d_write ~slot (Phys_mem.frame_contents t.machine.Machine.phys frame);
-    Phys_mem.free_frame t.machine.Machine.phys frame;
+    t.dev.d_write ~slot (Phys_mem.release_frame t.machine.Machine.phys frame);
     Page_table.set_pte p.p_pt va (Pte.make_swapped ~slot);
     (* The frame is gone: invalidate any cached translation everywhere
        (the eviction-side half of shootdown discipline). *)
@@ -343,8 +362,8 @@ let balance_incoming t ~incoming =
       && t.active.size + t.inactive.size > 0
     do
       decr budget;
-      match lru_pop_back t.inactive with
-      | Some p ->
+      if t.inactive.size > 0 then begin
+        let p = lru_pop_back t.inactive in
         perf.Perf.reclaim_scans <- perf.Perf.reclaim_scans + 1;
         if p.p_ref then begin
           (* Second chance: touched while inactive. *)
@@ -356,15 +375,16 @@ let balance_incoming t ~incoming =
           lru_push_front t.active p
         end
         else ignore (swap_out t p)
-      | None -> (
+      end
+      else begin
         (* Refill: age one page from the active tail, clearing its
-           referenced bit so a further touch is needed to rescue it. *)
-        match lru_pop_back t.active with
-        | Some p ->
-          perf.Perf.reclaim_scans <- perf.Perf.reclaim_scans + 1;
-          p.p_ref <- false;
-          lru_push_front t.inactive p
-        | None -> budget := 0)
+           referenced bit so a further touch is needed to rescue it.  The
+           loop guard keeps the active list non-empty here. *)
+        let p = lru_pop_back t.active in
+        perf.Perf.reclaim_scans <- perf.Perf.reclaim_scans + 1;
+        p.p_ref <- false;
+        lru_push_front t.inactive p
+      end
     done;
     if tracing then
       Tracer.span_end
@@ -383,22 +403,12 @@ let balance t = balance_incoming t ~incoming:0
 
 let track t ~pt ~asid ~va =
   let vpn = Addr.page_number va in
-  match Hashtbl.find t.pages (page_key ~asid ~vpn) with
+  match Int_tbl.find t.pages (page_key ~asid ~vpn) with
   | p -> p.p_ref <- true
   | exception Not_found ->
-    let p =
-      {
-        p_asid = asid;
-        p_vpn = vpn;
-        p_pt = pt;
-        p_ref = true;
-        p_prev = None;
-        p_next = None;
-        p_on = Nowhere;
-      }
-    in
-    Hashtbl.add t.pages (page_key ~asid ~vpn) p;
-    Hashtbl.replace (asid_nodes t asid) vpn p;
+    let p = unlinked_page ~asid ~vpn ~pt in
+    Int_tbl.add t.pages (page_key ~asid ~vpn) p;
+    Int_tbl.replace (asid_nodes t asid) vpn p;
     (match t.cgroup with Some cg -> cg.cg_charge ~asid | None -> ());
     lru_push_front t.active p
 
@@ -413,14 +423,14 @@ let shrink_asid t ~asid ~excess ~protect =
     let evicted = ref 0 in
     let collect l =
       let nodes = ref [] in
-      let cur = ref l.last in
-      while !cur <> None do
-        match !cur with
-        | Some p ->
-          if p.p_asid = asid && protect <> Some p.p_vpn then
-            nodes := p :: !nodes;
-          cur := p.p_prev
-        | None -> ()
+      let cur = ref l.head.p_prev in
+      while !cur != l.head do
+        let p = !cur in
+        let shielded =
+          match protect with Some vpn -> vpn = p.p_vpn | None -> false
+        in
+        if p.p_asid = asid && not shielded then nodes := p :: !nodes;
+        cur := p.p_prev
       done;
       (* Back-to-front: coldest candidates first. *)
       List.rev !nodes
@@ -454,25 +464,25 @@ let page_mapped t ~pt ~asid ~va =
 
 let page_unmapped t ~asid ~va ~pte =
   if Pte.is_swapped pte then t.dev.d_free_slot (Pte.swap_slot_exn pte);
-  match Hashtbl.find t.pages (page_key ~asid ~vpn:(Addr.page_number va)) with
+  match Int_tbl.find t.pages (page_key ~asid ~vpn:(Addr.page_number va)) with
   | p -> drop_node t p
   | exception Not_found -> ()
 
 (* The hottest notification: every simulated heap access lands here.
-   [Hashtbl.find] on the packed int key plus the exception match keeps the
+   [Int_tbl.find] on the packed int key plus the exception match keeps the
    miss AND hit paths free of [Some]/tuple allocation. *)
 let page_touched t ~asid ~va =
-  match Hashtbl.find t.pages (page_key ~asid ~vpn:(Addr.page_number va)) with
+  match Int_tbl.find t.pages (page_key ~asid ~vpn:(Addr.page_number va)) with
   | p -> p.p_ref <- true
   | exception Not_found -> ()
 
 let adopt_space t ~pt ~asid =
   (* Drop stale nodes first (tracked but no longer present) ... *)
   let stale = ref [] in
-  (match Hashtbl.find_opt t.by_asid asid with
+  (match Int_tbl.find_opt t.by_asid asid with
   | None -> ()
   | Some tbl ->
-    Hashtbl.iter
+    Int_tbl.iter
       (fun _ p ->
         if
           not
@@ -484,7 +494,7 @@ let adopt_space t ~pt ~asid =
   (* ... then track present pages we do not know about, in deterministic
      page-table walk order. *)
   Page_table.iter_mapped pt ~f:(fun ~vpn ~frame:_ ->
-      if not (Hashtbl.mem t.pages (page_key ~asid ~vpn)) then
+      if not (Int_tbl.mem t.pages (page_key ~asid ~vpn)) then
         track t ~pt ~asid ~va:(vpn * Addr.page_size));
   (* The resync may have revealed pages this tenant acquired since the
      last notification; settle its hard limit before handing back. *)
@@ -504,14 +514,9 @@ let fault_in t ~pt ~asid ~va =
     if not (swap_io_ok t ~va ~cost_ns:(t.dev.d_in_ns ~slot)) then
       raise
         (Svagc_fault.Kernel_error.Fault (Svagc_fault.Kernel_error.EIO_swap { va }));
-    let frame = Phys_mem.alloc_frame t.machine.Machine.phys in
-    (match t.dev.d_read ~slot with
-    | None -> () (* zero page: the fresh frame is already lazily zero *)
-    | Some b ->
-      Bytes.blit b 0
-        (Phys_mem.frame_bytes t.machine.Machine.phys frame)
-        0 (Bytes.length b));
-    t.dev.d_free_slot slot;
+    let phys = t.machine.Machine.phys in
+    let frame = Phys_mem.alloc_frame phys in
+    Phys_mem.install phys frame (t.dev.d_take ~slot);
     Page_table.set_pte pt va (Pte.make ~frame);
     perf.Perf.pages_swapped_in <- perf.Perf.pages_swapped_in + 1;
     track t ~pt ~asid ~va;

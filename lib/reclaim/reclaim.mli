@@ -31,12 +31,23 @@ type t
     its next allocation will trigger, without mutating anything);
     [d_in_ns ~slot] is the per-attempt cost of reading [slot] back (far
     slots are slower).  [d_tier_stats] is [(near_in_use, far_in_use)] for
-    a tiered device, [None] for a flat one. *)
+    a tiered device, [None] for a flat one.
+
+    Payloads cross this seam by ownership, never by copy:
+    - [d_write ~slot b] keeps [b] itself as the slot's payload; swap-out
+      hands it the buffer {!Svagc_vmem.Phys_mem.release_frame} detached
+      from the evicted frame.
+    - [d_take ~slot] frees [slot] and returns its payload, which the
+      caller now owns; fault-in installs it as the new frame's contents
+      with {!Svagc_vmem.Phys_mem.install}.  A tiered device counts a take
+      from its far tier as a promotion.
+    - [d_peek ~slot] returns the payload without freeing it (oracle
+      path; callers must not mutate it). *)
 type dev_iface = {
   d_alloc_slot : unit -> int;
   d_free_slot : int -> unit;
   d_write : slot:int -> bytes option -> unit;
-  d_read : slot:int -> bytes option;
+  d_take : slot:int -> bytes option;
   d_peek : slot:int -> bytes option;
   d_allocated : slot:int -> bool;
   d_slots_in_use : unit -> int;
@@ -111,8 +122,10 @@ val adopt_space : t -> pt:Svagc_vmem.Page_table.t -> asid:int -> unit
 
 val fault_in : t -> pt:Svagc_vmem.Page_table.t -> asid:int -> va:int -> unit
 (** The major-fault path: charge the fault, evict first if at the limit
-    (so the incoming page cannot be chosen), read the slot back with a
-    bounded device retry, free the slot and make the PTE present.  No-op
+    (so the incoming page cannot be chosen), pay the device read with a
+    bounded retry, then take the slot's payload ([d_take], which frees
+    the slot) and install it in a fresh frame without copying, and make
+    the PTE present.  No-op
     when the PTE is already present (a racing fault resolved it).
     @raise Svagc_fault.Kernel_error.Fault ([EIO_swap]) when every device
     attempt fails. *)

@@ -47,11 +47,17 @@ let free_slot t slot =
   t.in_use <- t.in_use - 1;
   Svagc_util.Vec.push t.free slot
 
+(* Payloads move by ownership: [write] keeps the caller's buffer and
+   [take] hands it back out as the slot is freed, so a page round-trips
+   through swap without a single byte copy. *)
 let write t ~slot payload =
   ignore (check_held t slot "write");
-  t.slots.(slot) <- Held (Option.map Bytes.copy payload)
+  t.slots.(slot) <- Held payload
 
-let read t ~slot = Option.map Bytes.copy (check_held t slot "read")
+let take t ~slot =
+  let payload = check_held t slot "take" in
+  free_slot t slot;
+  payload
 
 let peek t ~slot = check_held t slot "peek"
 

@@ -6,7 +6,8 @@
     The device itself is free of timing and failure policy: latencies are
     charged and injected EIOs decided by {!Reclaim}, which also owns slot
     lifetime (a slot is allocated on swap-out and freed on swap-in or
-    when its owning page is unmapped). *)
+    when its owning page is unmapped).  Payloads move in and out by
+    ownership ({!write}, {!take}); nothing on the device copies bytes. *)
 
 type t
 
@@ -21,17 +22,24 @@ val free_slot : t -> int -> unit
 (** @raise Invalid_argument if the slot is not allocated. *)
 
 val write : t -> slot:int -> bytes option -> unit
-(** Store a page payload; [None] records a zero page.  The device takes
-    ownership of a copy, never an alias of live frame bytes.
+(** Store a page payload; [None] records a zero page.  The payload
+    {e moves} into the device: it keeps the very buffer it is handed, so
+    the caller gives up every reference it would write through (swap-out
+    hands over a buffer {!Svagc_vmem.Phys_mem.release_frame} has just
+    detached from its frame).
     @raise Invalid_argument if the slot is not allocated. *)
 
-val read : t -> slot:int -> bytes option
-(** The stored payload ([None] = zero page).  Returns a fresh copy.
+val take : t -> slot:int -> bytes option
+(** Free the slot and move its payload out to the caller ([None] = zero
+    page), without a copy: the device keeps no reference, so the caller
+    owns the buffer (fault-in installs it as the new frame's contents).
     @raise Invalid_argument if the slot is not allocated. *)
 
 val peek : t -> slot:int -> bytes option
-(** Like {!read} but returns the device's own buffer (callers must not
-    mutate it) — the oracle/checksum path, guaranteed allocation-free. *)
+(** The stored payload without freeing the slot; the device's own
+    buffer (callers must not mutate it) — the oracle/checksum path,
+    guaranteed allocation-free.
+    @raise Invalid_argument if the slot is not allocated. *)
 
 val allocated : t -> slot:int -> bool
 

@@ -47,6 +47,29 @@ let free_frame t frame =
     t.in_use <- t.in_use - 1;
     Svagc_util.Vec.push t.free frame
 
+(* The payload changes hands: once the frame is [Free], the pool holds no
+   reference to it, and the next [alloc_frame] of this number starts from
+   [Zeroed] — so swap-out needs no copy to avoid aliasing. *)
+let release_frame t frame =
+  let payload =
+    match t.frames.(frame) with
+    | Free -> invalid_arg "Phys_mem.release_frame: frame not in use"
+    | Zeroed -> None
+    | Data b -> Some b
+  in
+  free_frame t frame;
+  payload
+
+let install t frame payload =
+  match (t.frames.(frame), payload) with
+  | Free, _ -> invalid_arg "Phys_mem.install: frame not in use"
+  | Data _, _ -> invalid_arg "Phys_mem.install: frame already has contents"
+  | Zeroed, None -> ()
+  | Zeroed, Some b ->
+    if Bytes.length b <> Addr.page_size then
+      invalid_arg "Phys_mem.install: payload is not one page";
+    t.frames.(frame) <- Data b
+
 let frame_contents t frame =
   if frame < 0 || frame >= Array.length t.frames then
     invalid_arg "Phys_mem.frame_contents: no such frame";

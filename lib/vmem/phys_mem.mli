@@ -19,6 +19,23 @@ val alloc_frame : t -> int
 val free_frame : t -> int -> unit
 (** Returns a frame to the pool.  @raise Invalid_argument if not in use. *)
 
+val release_frame : t -> int -> bytes option
+(** Free a frame and hand its payload to the caller: [None] for a frame
+    that was never materialized (logically all zeroes).  The returned
+    buffer is no longer reachable through the pool — a later
+    {!alloc_frame} of the same number starts from a fresh zero page — so
+    the caller owns it outright.  This is the swap-out half of the
+    zero-copy reclaim path.
+    @raise Invalid_argument if the frame is not in use. *)
+
+val install : t -> int -> bytes option -> unit
+(** Give a freshly allocated frame an owned payload, which becomes the
+    frame's backing store without a copy ([None] leaves it a lazy zero
+    page).  The caller must hold no other reference it will write
+    through.  This is the fault-in half of the zero-copy reclaim path.
+    @raise Invalid_argument if the frame is not in use, already has
+    materialized contents, or the payload is not [page_size] long. *)
+
 val frame_bytes : t -> int -> bytes
 (** Direct view of a frame's backing store (always [page_size] long).
     @raise Invalid_argument if the frame is not in use. *)

@@ -70,3 +70,40 @@ let assert_live_set heap rooted =
       | Some _ | None ->
         Alcotest.failf "rooted object %d lost by the GC" o.Obj_model.id)
     rooted
+
+(* The zero-copy reclaim plane's ownership contract, as one scenario:
+   page A is written and evicted; the frame it gave up is reallocated to
+   a fresh page B, which is written; and A is faulted back in.  Swap-out
+   hands A's buffer to the device and fault-in hands it back, so a pool
+   that kept (or re-served) the buffer would show B's bytes through A.
+   [dev_of] builds a custom swap device on the scenario's machine.
+   Returns the machine and what A and B then read. *)
+let reclaim_alias_scenario ?dev_of () =
+  let m = machine () in
+  let dev = Option.map (fun f -> f m) dev_of in
+  ignore (Svagc_kernel.Fault_handler.attach m ~limit_frames:4 ?dev ());
+  let aspace = Process.aspace (Process.create m) in
+  let pt = Address_space.page_table aspace in
+  let page i = (1 lsl 32) + (i * Addr.page_size) in
+  let map i = Address_space.map_range aspace ~va:(page i) ~pages:1 in
+  map 0;
+  Address_space.write_bytes aspace ~va:(page 0)
+    ~src:(Bytes.make Addr.page_size 'a');
+  let frame_a = Pte.frame_exn (Page_table.get_pte pt (page 0)) in
+  let rec find_b i =
+    if i > 16 then Alcotest.fail "A's frame was never handed to a new page";
+    map i;
+    let pte = Page_table.get_pte pt (page i) in
+    if
+      Pte.is_swapped (Page_table.get_pte pt (page 0))
+      && Pte.is_present pte
+      && Pte.frame_exn pte = frame_a
+    then i
+    else find_b (i + 1)
+  in
+  let b = find_b 1 in
+  Address_space.write_bytes aspace ~va:(page b)
+    ~src:(Bytes.make Addr.page_size 'b');
+  let read i = Address_space.read_bytes aspace ~va:(page i) ~len:Addr.page_size in
+  let a_bytes = read 0 in
+  (m, a_bytes, read b)

@@ -88,18 +88,44 @@ let test_tier_demote_promote () =
     m.Machine.perf.Perf.tier_promotions;
   Alcotest.(check bool) "far slot reads slower" true
     (dev.Reclaim.d_in_ns ~slot:s0 > dev.Reclaim.d_in_ns ~slot:s1);
-  (* A demand-fault read of the far slot is a promotion, and the payload
-     survived the near->far migration byte-for-byte. *)
-  (match dev.Reclaim.d_read ~slot:s0 with
+  (* A demand-fault take of the far slot is a promotion that frees the
+     slot, and the payload survived the near->far migration
+     byte-for-byte. *)
+  (match dev.Reclaim.d_take ~slot:s0 with
   | Some b ->
     Alcotest.(check bytes) "payload intact across demotion" (payload 0) b
-  | None -> Alcotest.fail "read lost the demoted payload");
+  | None -> Alcotest.fail "take lost the demoted payload");
   Alcotest.(check int) "promotion counted" 1
     m.Machine.perf.Perf.tier_promotions;
-  List.iter (fun s -> dev.Reclaim.d_free_slot s) slots;
+  Alcotest.(check bool) "take frees the slot" false
+    (Swap_tier.allocated tier ~slot:s0);
+  (* Taking a near slot is an ordinary swap-in, not a promotion. *)
+  (match dev.Reclaim.d_take ~slot:s1 with
+  | Some b -> Alcotest.(check bytes) "near payload intact" (payload 1) b
+  | None -> Alcotest.fail "take lost the near payload");
+  Alcotest.(check int) "near take is not a promotion" 1
+    m.Machine.perf.Perf.tier_promotions;
+  dev.Reclaim.d_free_slot (List.nth slots 2);
   Alcotest.(check int) "no slot leak" 0 (Swap_tier.slots_in_use tier);
   Alcotest.(check (pair int int)) "both tiers empty" (0, 0)
     (Swap_tier.stats tier)
+
+(* Ownership across the tiers: A's buffer moves near -> far while its
+   old frame serves B, then comes back by promotion, untouched by B. *)
+let test_tier_no_aliasing () =
+  let m, a, b =
+    Helpers.reclaim_alias_scenario
+      ~dev_of:(fun m -> Swap_tier.iface (Swap_tier.create m ~near_slots:1 ()))
+      ()
+  in
+  Alcotest.(check bytes) "A intact after demotion, reuse and promotion"
+    (Bytes.make Addr.page_size 'a') a;
+  Alcotest.(check bytes) "B intact" (Bytes.make Addr.page_size 'b') b;
+  Alcotest.(check bool) "A was demoted" true
+    (m.Machine.perf.Perf.tier_demotions > 0);
+  (* A's fault is the only one, and it promoted a far slot. *)
+  Alcotest.(check (pair int int)) "A came back by promotion" (1, 1)
+    (m.Machine.perf.Perf.major_faults, m.Machine.perf.Perf.tier_promotions)
 
 (* --- Cgroup enforcement through the kernel --- *)
 
@@ -235,6 +261,37 @@ let test_fleet_determinism () =
   Alcotest.(check (float 0.0)) "total time replays" a.Fleet.total_ns
     b.Fleet.total_ns
 
+(* Each bad input is rejected up front with a one-line reason, before a
+   machine is built. *)
+let test_validate_rejects () =
+  Alcotest.(check bool) "default is valid" true
+    (Fleet.validate Fleet.default = Ok ());
+  let d = Fleet.default in
+  List.iter
+    (fun (what, config, reason) ->
+      Alcotest.(check (result unit string)) what (Error reason)
+        (Fleet.validate config);
+      Alcotest.check_raises (what ^ ": run raises") (Invalid_argument reason)
+        (fun () ->
+          ignore
+            (Fleet.run
+               ~collector_of:(Exp_common.collector_of Exp_common.Svagc)
+               config)))
+    [
+      ( "--overcommit 0",
+        { d with Fleet.overcommit = 0.0 },
+        "Fleet: overcommit must be >= 1" );
+      ( "--near-frac 2.0",
+        { d with Fleet.near_frac = 2.0 },
+        "Fleet: near_frac must be in (0, 1]" );
+      ( "--cgroup-soft 5 --cgroup-hard 1",
+        { d with Fleet.cgroup_soft = 5.0; cgroup_hard = 1.0 },
+        "Fleet: need 0 < cgroup_soft <= cgroup_hard" );
+      ( "--tenants 0",
+        { d with Fleet.tenants = 0 },
+        "Fleet: tenants must be >= 1" );
+    ]
+
 let test_fleet_under_oracle () =
   Svagc_check.Check.enable ~label:"fleet-test" ();
   ignore (run_tiny ());
@@ -258,6 +315,8 @@ let () =
             test_tier_demote_promote;
           Alcotest.test_case "oversized near tier = flat device" `Quick
             test_oversized_near_tier_is_flat;
+          Alcotest.test_case "no aliasing across demotion" `Quick
+            test_tier_no_aliasing;
         ] );
       ( "cgroup",
         [
@@ -268,6 +327,8 @@ let () =
       ( "fleet",
         [
           Alcotest.test_case "bit determinism" `Quick test_fleet_determinism;
+          Alcotest.test_case "validate rejects bad inputs" `Quick
+            test_validate_rejects;
           Alcotest.test_case "conservation laws hold" `Quick
             test_fleet_under_oracle;
         ] );

@@ -44,8 +44,7 @@ let prop_swap_dev_round_trip =
       in
       List.for_all
         (fun (slot, payload) ->
-          let back = Option.map Bytes.to_string (Swap_dev.read dev ~slot) in
-          Swap_dev.free_slot dev slot;
+          let back = Option.map Bytes.to_string (Swap_dev.take dev ~slot) in
           back = payload)
         slots
       && Swap_dev.slots_in_use dev = 0)
@@ -319,6 +318,53 @@ let test_swap_rate0_bit_identical () =
     (Perf.to_assoc machine_a.Machine.perf)
     (Perf.to_assoc machine_b.Machine.perf)
 
+(* --- Ownership of page payloads (zero-copy reclaim) --- *)
+
+let test_no_aliasing_through_swap () =
+  let m, a, b = Helpers.reclaim_alias_scenario () in
+  Alcotest.(check bytes) "A intact after its frame was reused"
+    (Bytes.make Addr.page_size 'a') a;
+  Alcotest.(check bytes) "B intact" (Bytes.make Addr.page_size 'b') b;
+  Alcotest.(check bool) "A came back through a major fault" true
+    (m.Machine.perf.Perf.major_faults > 0)
+
+(* Host-allocation law: payloads move, so a swap-out/fault-in round trip
+   of a materialized page allocates no page-sized buffer.  Copying even
+   once per trip would add 513 major-heap words (a 4 KiB [Bytes] plus its
+   header) per trip. *)
+let test_round_trips_allocate_no_pages () =
+  let machine = Machine.create ~ncores:4 ~phys_mib:64 Cost_model.xeon_6130 in
+  ignore (Fault_handler.attach machine ~limit_frames:1 ());
+  let aspace = Process.aspace (Process.create machine) in
+  let va_a = base and va_b = base + Addr.page_size in
+  Address_space.map_range aspace ~va:base ~pages:2;
+  Address_space.write_bytes aspace ~va:va_a ~src:(Bytes.make Addr.page_size 'a');
+  Address_space.write_bytes aspace ~va:va_b ~src:(Bytes.make Addr.page_size 'b');
+  (* With one resident frame, each touch evicts the other page: a touch
+     is one round trip of a materialized page. *)
+  let trips n =
+    for _ = 1 to n do
+      ignore (Address_space.read_u8 aspace ~va:va_a);
+      ignore (Address_space.read_u8 aspace ~va:va_b)
+    done
+  in
+  trips 8;
+  let faults0 = machine.Machine.perf.Perf.major_faults in
+  Gc.minor ();
+  let words0 = (Gc.quick_stat ()).Gc.major_words in
+  let k = 256 in
+  trips (k / 2);
+  Gc.minor ();
+  let grown = (Gc.quick_stat ()).Gc.major_words -. words0 in
+  Alcotest.(check int) "every touch was a round trip" k
+    (machine.Machine.perf.Perf.major_faults - faults0);
+  if grown >= float_of_int (k * 513 / 8) then
+    Alcotest.failf "%d round trips grew the major heap by %.0f words" k grown;
+  Alcotest.(check char) "A intact" 'a'
+    (Char.chr (Address_space.read_u8 aspace ~va:(va_a + 4095)));
+  Alcotest.(check char) "B intact" 'b'
+    (Char.chr (Address_space.read_u8 aspace ~va:(va_b + 4095)))
+
 let () =
   Alcotest.run "svagc_reclaim"
     [
@@ -346,6 +392,13 @@ let () =
           Alcotest.test_case "deterministic across two runs" `Slow
             test_exp_pressure_deterministic;
           Alcotest.test_case "headline shape" `Slow test_exp_pressure_headline;
+        ] );
+      ( "ownership",
+        [
+          Alcotest.test_case "no aliasing through swap" `Quick
+            test_no_aliasing_through_swap;
+          Alcotest.test_case "round trips allocate no pages" `Quick
+            test_round_trips_allocate_no_pages;
         ] );
       ( "swap_faults",
         [

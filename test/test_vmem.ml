@@ -97,6 +97,37 @@ let test_phys_blit () =
   Alcotest.(check string) "blitted" "xyz"
     (Bytes.to_string (Phys_mem.read pm ~frame:b ~off:10 ~len:3))
 
+let test_phys_release_install () =
+  let pm = Phys_mem.create ~frames:2 in
+  let f = Phys_mem.alloc_frame pm in
+  Alcotest.(check bool) "untouched frame releases as a zero page" true
+    (Phys_mem.release_frame pm f = None);
+  let f = Phys_mem.alloc_frame pm in
+  Phys_mem.write pm ~frame:f ~off:0 ~src:(Bytes.of_string "page") ~src_off:0
+    ~len:4;
+  let payload =
+    match Phys_mem.release_frame pm f with
+    | Some b -> b
+    | None -> Alcotest.fail "written frame released as a zero page"
+  in
+  Alcotest.(check int) "released" 0 (Phys_mem.frames_in_use pm);
+  (* The same frame number comes back as a fresh zero page, not as the
+     buffer just handed out. *)
+  let g = Phys_mem.alloc_frame pm in
+  Alcotest.(check int) "same frame reused" f g;
+  Alcotest.(check string) "reused frame is zero" "\000"
+    (Bytes.to_string (Phys_mem.read pm ~frame:g ~off:0 ~len:1));
+  Alcotest.check_raises "install over contents"
+    (Invalid_argument "Phys_mem.install: frame already has contents")
+    (fun () -> Phys_mem.install pm g (Some payload));
+  let h = Phys_mem.alloc_frame pm in
+  Alcotest.check_raises "install a short payload"
+    (Invalid_argument "Phys_mem.install: payload is not one page") (fun () ->
+      Phys_mem.install pm h (Some (Bytes.create 8)));
+  Phys_mem.install pm h (Some payload);
+  Alcotest.(check bool) "installed without a copy" true
+    (Phys_mem.frame_bytes pm h == payload)
+
 let test_phys_range_check () =
   let pm = Phys_mem.create ~frames:1 in
   let f = Phys_mem.alloc_frame pm in
@@ -516,6 +547,8 @@ let () =
           Alcotest.test_case "read/write" `Quick test_phys_read_write;
           Alcotest.test_case "blit" `Quick test_phys_blit;
           Alcotest.test_case "range check" `Quick test_phys_range_check;
+          Alcotest.test_case "release/install move payloads" `Quick
+            test_phys_release_install;
         ] );
       ( "page_table",
         [
