@@ -56,7 +56,8 @@ let bench_size ~pages =
   let faults_before = swap_machine.Machine.perf.Perf.major_faults in
   let swapva_ns =
     with_drained swap_machine (fun () ->
-        Swapva.swap_disjoint_run swap_proc ~pmd_caching:true req)
+        Swapva.swap_disjoint_flat swap_proc ~pmd_caching:true ~leaf_swap:false
+          req)
   in
   let swapva_faults =
     swap_machine.Machine.perf.Perf.major_faults - faults_before

@@ -178,6 +178,17 @@ let svagc_config ~no_coalesce ~pmd_leaf_swap ~fault_spec ~fault_seed
     swap_cost_ns;
   }
 
+(* Reject a bad run before any output, as a usage error: the SVAGC
+   config's own checks, then the run-shape arguments. *)
+let validate_run ~config ~heap_factor ~steps =
+  match Svagc_core.Config.check config with
+  | Error _ as e -> e
+  | Ok () ->
+    if not (Float.is_finite heap_factor && heap_factor > 0.0) then
+      Error "--heap-factor must be a finite positive number"
+    else if steps < 0 then Error "--steps must be >= 0"
+    else Ok ()
+
 (* Arm memory pressure on a freshly created machine, ahead of any JVM, so
    heap pages are LRU-tracked from the first mapping.  The Move_object
    prologue would also attach lazily via the config, but only once the
@@ -223,45 +234,50 @@ let bench_cmd =
       svagc_config ~no_coalesce ~pmd_leaf_swap ~fault_spec ~fault_seed
         ~mem_limit_frames ~swap_cost_ns
     in
-    Report.section (Printf.sprintf "%s @ %.1fx min heap" workload_name heap_factor);
-    List.iter
-      (fun kind ->
-        let machine =
-          Svagc_experiments.Exp_common.fresh_machine Svagc_vmem.Cost_model.xeon_6130
-        in
-        attach_reclaim machine ~mem_limit_frames ~swap_cost_ns;
-        let r =
-          Runner.run ~heap_factor ~steps ~machine
-            ~collector_of:(Svagc_experiments.Exp_common.collector_of ~config kind)
-            workload
-        in
-        Report.subsection (Svagc_experiments.Exp_common.collector_name kind);
-        Report.kv "steps" (string_of_int r.Runner.steps);
-        Report.kv "full GCs" (string_of_int r.Runner.summary.Svagc_gc.Gc_stats.cycles);
-        Report.kv "app time" (Report.ns r.Runner.app_ns);
-        Report.kv "GC time" (Report.ns r.Runner.gc_ns);
-        Report.kv "avg pause"
-          (Report.ns r.Runner.summary.Svagc_gc.Gc_stats.avg_pause_ns);
-        Report.kv "max pause"
-          (Report.ns r.Runner.summary.Svagc_gc.Gc_stats.max_pause_ns);
-        Report.kv "throughput" (Printf.sprintf "%.3f steps/ms" r.Runner.throughput);
-        match mem_limit_frames with
-        | None -> ()
-        | Some _ ->
-          let perf = machine.Svagc_vmem.Machine.perf in
-          Report.kv "major faults"
-            (string_of_int perf.Svagc_vmem.Perf.major_faults);
-          Report.kv "pages swapped out"
-            (string_of_int perf.Svagc_vmem.Perf.pages_swapped_out);
-          Report.kv "pages swapped in"
-            (string_of_int perf.Svagc_vmem.Perf.pages_swapped_in))
-      collectors
+    match validate_run ~config ~heap_factor ~steps with
+    | Error msg -> `Error (false, msg)
+    | Ok () ->
+      Report.section (Printf.sprintf "%s @ %.1fx min heap" workload_name heap_factor);
+      List.iter
+        (fun kind ->
+          let machine =
+            Svagc_experiments.Exp_common.fresh_machine Svagc_vmem.Cost_model.xeon_6130
+          in
+          attach_reclaim machine ~mem_limit_frames ~swap_cost_ns;
+          let r =
+            Runner.run ~heap_factor ~steps ~machine
+              ~collector_of:(Svagc_experiments.Exp_common.collector_of ~config kind)
+              workload
+          in
+          Report.subsection (Svagc_experiments.Exp_common.collector_name kind);
+          Report.kv "steps" (string_of_int r.Runner.steps);
+          Report.kv "full GCs" (string_of_int r.Runner.summary.Svagc_gc.Gc_stats.cycles);
+          Report.kv "app time" (Report.ns r.Runner.app_ns);
+          Report.kv "GC time" (Report.ns r.Runner.gc_ns);
+          Report.kv "avg pause"
+            (Report.ns r.Runner.summary.Svagc_gc.Gc_stats.avg_pause_ns);
+          Report.kv "max pause"
+            (Report.ns r.Runner.summary.Svagc_gc.Gc_stats.max_pause_ns);
+          Report.kv "throughput" (Printf.sprintf "%.3f steps/ms" r.Runner.throughput);
+          match mem_limit_frames with
+          | None -> ()
+          | Some _ ->
+            let perf = machine.Svagc_vmem.Machine.perf in
+            Report.kv "major faults"
+              (string_of_int perf.Svagc_vmem.Perf.major_faults);
+            Report.kv "pages swapped out"
+              (string_of_int perf.Svagc_vmem.Perf.pages_swapped_out);
+            Report.kv "pages swapped in"
+              (string_of_int perf.Svagc_vmem.Perf.pages_swapped_in))
+        collectors;
+      `Ok ()
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(
-      const run $ workload_arg $ collectors $ heap_factor $ steps
-      $ no_coalesce_arg $ pmd_leaf_swap_arg $ fault_spec_arg $ fault_seed_arg
-      $ mem_limit_arg $ swap_cost_arg)
+      ret
+        (const run $ workload_arg $ collectors $ heap_factor $ steps
+       $ no_coalesce_arg $ pmd_leaf_swap_arg $ fault_spec_arg $ fault_seed_arg
+       $ mem_limit_arg $ swap_cost_arg))
 
 let trace_cmd =
   let doc =
@@ -322,81 +338,86 @@ let trace_cmd =
       Printf.eprintf "trace: --capacity must be positive (got %d)\n" capacity;
       exit 1
     end;
-    let tracer = Tracer.start ~capacity () in
-    (match (exp_id, workload_name) with
-    | Some id, _ -> (
-      match Registry.find id with
-      | Some e -> e.Registry.run ~quick:true ()
-      | None ->
-        Printf.eprintf "unknown experiment %S (see `svagc list`)\n" id;
-        exit 1)
-    | None, None ->
-      Printf.eprintf "trace: pass --workload NAME or --exp ID\n";
-      exit 1
-    | None, Some workload_name ->
-      let workload =
-        try Svagc_workloads.Spec.find workload_name
-        with Not_found ->
-          Printf.eprintf "unknown workload %S (see `svagc list`)\n" workload_name;
-          exit 1
-      in
-      let machine =
-        Svagc_experiments.Exp_common.fresh_machine Svagc_vmem.Cost_model.xeon_6130
-      in
-      Tracer.set_counter_source (fun () ->
-          Svagc_vmem.Perf.to_assoc machine.Machine.perf);
-      let config =
-        svagc_config ~no_coalesce ~pmd_leaf_swap ~fault_spec ~fault_seed
-          ~mem_limit_frames ~swap_cost_ns
-      in
-      let collector_of =
-        Svagc_experiments.Exp_common.collector_of ~config collector
-      in
-      if jvms <= 1 then begin
-        attach_reclaim machine ~mem_limit_frames ~swap_cost_ns;
-        ignore
-          (Runner.run ~heap_factor ~steps ~machine ~collector_of workload)
-      end
-      else begin
-        let steppers = Array.make jvms (fun () -> ()) in
-        let multi =
-          Svagc_core.Multi_jvm.create ?mem_limit_frames ?swap_cost_ns machine
-            ~instances:jvms
-            ~spawn:(fun ~index machine ->
-              let jvm =
-                Runner.make_jvm ~heap_factor ~machine ~collector_of workload
-              in
-              let rng = Svagc_util.Rng.create ~seed:(1000 + index) in
-              steppers.(index) <- workload.Workload.setup jvm rng;
-              jvm)
+    let config =
+      svagc_config ~no_coalesce ~pmd_leaf_swap ~fault_spec ~fault_seed
+        ~mem_limit_frames ~swap_cost_ns
+    in
+    match validate_run ~config ~heap_factor ~steps with
+    | Error msg -> `Error (false, msg)
+    | Ok () ->
+      let tracer = Tracer.start ~capacity () in
+      (match (exp_id, workload_name) with
+      | Some id, _ -> (
+        match Registry.find id with
+        | Some e -> e.Registry.run ~quick:true ()
+        | None ->
+          Printf.eprintf "unknown experiment %S (see `svagc list`)\n" id;
+          exit 1)
+      | None, None ->
+        Printf.eprintf "trace: pass --workload NAME or --exp ID\n";
+        exit 1
+      | None, Some workload_name ->
+        let workload =
+          try Svagc_workloads.Spec.find workload_name
+          with Not_found ->
+            Printf.eprintf "unknown workload %S (see `svagc list`)\n" workload_name;
+            exit 1
         in
-        for _ = 1 to steps do
-          Array.iter (fun stepper -> stepper ()) steppers
-        done;
-        Svagc_core.Multi_jvm.release multi
-      end);
-    match Tracer.stop () with
-    | None -> ()
-    | Some t ->
-      Svagc_trace.Chrome_trace.write_file t out;
-      Printf.printf "wrote %s: %d events (%d dropped, capacity %d)\n" out
-        (List.length (Svagc_trace.Tracer.events t))
-        (Svagc_trace.Tracer.dropped t)
-        (Svagc_trace.Tracer.capacity t);
-      ignore tracer;
-      if ascii then Svagc_metrics.Timeline.print t
+        let machine =
+          Svagc_experiments.Exp_common.fresh_machine Svagc_vmem.Cost_model.xeon_6130
+        in
+        Tracer.set_counter_source (fun () ->
+            Svagc_vmem.Perf.to_assoc machine.Machine.perf);
+        let collector_of =
+          Svagc_experiments.Exp_common.collector_of ~config collector
+        in
+        if jvms <= 1 then begin
+          attach_reclaim machine ~mem_limit_frames ~swap_cost_ns;
+          ignore
+            (Runner.run ~heap_factor ~steps ~machine ~collector_of workload)
+        end
+        else begin
+          let steppers = Array.make jvms (fun () -> ()) in
+          let multi =
+            Svagc_core.Multi_jvm.create ?mem_limit_frames ?swap_cost_ns machine
+              ~instances:jvms
+              ~spawn:(fun ~index machine ->
+                let jvm =
+                  Runner.make_jvm ~heap_factor ~machine ~collector_of workload
+                in
+                let rng = Svagc_util.Rng.create ~seed:(1000 + index) in
+                steppers.(index) <- workload.Workload.setup jvm rng;
+                jvm)
+          in
+          for _ = 1 to steps do
+            Array.iter (fun stepper -> stepper ()) steppers
+          done;
+          Svagc_core.Multi_jvm.release multi
+        end);
+      (match Tracer.stop () with
+      | None -> ()
+      | Some t ->
+        Svagc_trace.Chrome_trace.write_file t out;
+        Printf.printf "wrote %s: %d events (%d dropped, capacity %d)\n" out
+          (List.length (Svagc_trace.Tracer.events t))
+          (Svagc_trace.Tracer.dropped t)
+          (Svagc_trace.Tracer.capacity t);
+        ignore tracer;
+        if ascii then Svagc_metrics.Timeline.print t);
+      `Ok ()
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ workload_arg $ exp_arg $ jvms_arg $ steps $ heap_factor
-      $ collector $ out $ capacity $ ascii $ no_coalesce_arg
-      $ pmd_leaf_swap_arg $ fault_spec_arg $ fault_seed_arg $ mem_limit_arg
-      $ swap_cost_arg)
+      ret
+        (const run $ workload_arg $ exp_arg $ jvms_arg $ steps $ heap_factor
+       $ collector $ out $ capacity $ ascii $ no_coalesce_arg
+       $ pmd_leaf_swap_arg $ fault_spec_arg $ fault_seed_arg $ mem_limit_arg
+       $ swap_cost_arg))
 
 let check_cmd =
   let doc =
     "Run the shadow invariant oracle: the qcheck-style differential harness \
-     (per-page vs run-coalesced vs pmd-leaf SwapVA engines, rate-0 fault \
+     (per-page vs flat vs pmd-leaf SwapVA engines, rate-0 fault \
      bit-identity), the work-steal scheduler laws, a traced workload with \
      span-nesting checks, and oracle-enabled experiments. Exits non-zero on \
      any finding."

@@ -55,13 +55,7 @@ let gen_case ?(arena_pages = 1536) ?(max_requests = 10) ~seed () =
   in
   { seed; arena_pages; requests }
 
-type path = Per_page | Runs | Leaf | Flat
-
-let path_name = function
-  | Per_page -> "per-page"
-  | Runs -> "runs"
-  | Leaf -> "pmd-leaf"
-  | Flat -> "flat"
+type path = Per_page | Flat | Leaf
 
 type replay = {
   cost : float;
@@ -82,7 +76,7 @@ let layout_of proc =
   Page_table.iter_mapped pt ~f:(fun ~vpn ~frame -> acc := (vpn, frame) :: !acc);
   List.sort compare !acc
 
-(* [leaf_runs] counts how many PMD-leaf slices the batched engine walked —
+(* [leaf_runs] counts how many PMD-leaf slices the flat engine walked —
    pure bookkeeping of the fast path itself, explicitly outside the
    equivalence contract (the per-page reference never sets it). *)
 let counters_of machine =
@@ -95,10 +89,9 @@ let replay path case =
   let engine req =
     match path with
     | Per_page -> Swapva.swap_disjoint_per_page proc ~pmd_caching:true req
-    | Runs -> Swapva.swap_disjoint_run proc ~pmd_caching:true req
-    | Leaf -> Swapva.swap_disjoint_run ~leaf_swap:true proc ~pmd_caching:true req
     | Flat ->
       Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:false req
+    | Leaf -> Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:true req
   in
   let cost =
     List.fold_left (fun acc req -> acc +. engine req) 0.0 case.requests
@@ -119,26 +112,11 @@ let compare_case case =
     if not ok then findings := f () :: !findings
   in
   let reference = replay Per_page case in
-  let runs = replay Runs case in
+  let flat = replay Flat case in
   let leaf = replay Leaf case in
   let label = Printf.sprintf "case seed=%d (%d requests)" case.seed
       (List.length case.requests)
   in
-  law (runs.cost = reference.cost) (fun () ->
-      mk "differential-cost"
-        "%s: run-coalesced cost %.17g <> per-page reference %.17g" label
-        runs.cost reference.cost);
-  law (runs.layout = reference.layout) (fun () ->
-      mk "differential-layout"
-        "%s: run-coalesced final mapping differs from the per-page reference"
-        label);
-  law (runs.counters = reference.counters) (fun () ->
-      match first_counter_mismatch runs.counters reference.counters with
-      | Some ((k, v1), (_, v2)) ->
-        mk "differential-counters" "%s: %s = %d (runs) vs %d (per-page)" label
-          k v1 v2
-      | None -> mk "differential-counters" "%s: counter sets differ" label);
-  let flat = replay Flat case in
   law (flat.cost = reference.cost) (fun () ->
       mk "differential-cost"
         "%s: flat-engine cost %.17g <> per-page reference %.17g" label
@@ -156,10 +134,10 @@ let compare_case case =
   law (leaf.layout = reference.layout) (fun () ->
       mk "differential-layout"
         "%s: pmd-leaf final mapping differs from the per-page reference" label);
-  law (leaf.cost <= runs.cost +. 1e-9) (fun () ->
+  law (leaf.cost <= flat.cost +. 1e-9) (fun () ->
       mk "differential-cost"
-        "%s: pmd-leaf cost %.17g exceeds the run-coalesced cost %.17g" label
-        leaf.cost runs.cost);
+        "%s: pmd-leaf cost %.17g exceeds the flat-engine cost %.17g" label
+        leaf.cost flat.cost);
   (!items + List.length reference.layout, List.rev !findings)
 
 (* --- rate-0 fault identity through the full syscall boundary --- *)

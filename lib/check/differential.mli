@@ -1,21 +1,19 @@
 (** The differential harness: random swap schedules replayed through every
     SwapVA engine, asserting the equivalences the kernel promises.
 
-    Four engine paths are compared on identical fresh machines:
+    Three engine paths are compared on identical fresh machines:
 
     - [Per_page] — [Swapva.swap_disjoint_per_page], the executable
       reference;
-    - [Runs] — [Swapva.swap_disjoint_run], the run-coalesced fast path,
-      which must produce a bit-identical heap layout, perf-counter deltas
-      (modulo its own [leaf_runs] bookkeeping counter) and bit-identical
-      simulated cost;
-    - [Flat] — [Swapva.swap_disjoint_flat], the allocation-free engine
-      behind the syscall (bitset prechecks, scratch run buffers, memoized
-      bulk charges), held to the same bit-identity bar as [Runs];
-    - [Leaf] — [swap_disjoint_run ~leaf_swap:true], the O(1) PMD mode,
-      which must produce the identical layout at no greater cost (its
-      counters legitimately differ — it is outside the cost-equivalence
-      guarantee).
+    - [Flat] — [Swapva.swap_disjoint_flat], the engine behind the
+      syscall (bitset prechecks, scratch run buffers, memoized bulk
+      charges), which must produce a bit-identical heap layout,
+      perf-counter deltas (modulo its own [leaf_runs] bookkeeping
+      counter) and bit-identical simulated cost;
+    - [Leaf] — [swap_disjoint_flat ~leaf_swap:true], the O(1) PMD mode,
+      which must produce the identical layout at no greater cost than
+      [Flat] (its counters legitimately differ — it is outside the
+      cost-equivalence guarantee).
 
     Each case is additionally pushed through the full syscall boundary
     ([swap_separated] with broadcast flushing and [swap_aggregated] with
@@ -39,9 +37,7 @@ val gen_case : ?arena_pages:int -> ?max_requests:int -> seed:int -> unit -> case
     and (when the arena allows) whole PMD-aligned 512-page runs that light
     up the leaf-swap path. *)
 
-type path = Per_page | Runs | Leaf | Flat
-
-val path_name : path -> string
+type path = Per_page | Flat | Leaf
 
 type replay = {
   cost : float;

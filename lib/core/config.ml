@@ -53,24 +53,26 @@ let unoptimized =
     swap_cost_ns = None;
   }
 
-let validate t =
-  if t.threshold_pages <= 0 then invalid_arg "Config: threshold must be positive";
-  if t.aggregation_batch <= 0 then invalid_arg "Config: batch must be positive";
-  if t.gc_threads <= 0 then invalid_arg "Config: gc_threads must be positive";
-  (match t.mem_limit_frames with
-  | Some n when n <= 0 -> invalid_arg "Config: mem_limit_frames must be positive"
-  | _ -> ());
-  (match t.swap_cost_ns with
-  | Some ns when ns < 0.0 -> invalid_arg "Config: swap_cost_ns must be non-negative"
-  | _ -> ());
-  match t.flush with
-  | Shootdown.Local_pinned when not t.pin_compaction ->
-    invalid_arg
-      "Config: Local_pinned flushing is only sound under pinned compaction \
-       (Algorithm 4)"
-  | Shootdown.Local_pinned | Shootdown.Broadcast_per_call
-  | Shootdown.Process_targeted | Shootdown.Self_invalidate ->
-    ()
+let check t =
+  let checks =
+    [
+      (t.threshold_pages > 0, "threshold must be positive");
+      (t.aggregation_batch > 0, "batch must be positive");
+      (t.gc_threads > 0, "gc_threads must be positive");
+      ( Option.fold ~none:true ~some:(fun n -> n > 0) t.mem_limit_frames,
+        "mem_limit_frames must be positive" );
+      ( Option.fold ~none:true ~some:(fun ns -> ns >= 0.0) t.swap_cost_ns,
+        "swap_cost_ns must be non-negative" );
+      ( t.flush <> Shootdown.Local_pinned || t.pin_compaction,
+        "Local_pinned flushing is only sound under pinned compaction \
+         (Algorithm 4)" );
+    ]
+  in
+  match List.find_opt (fun (ok, _) -> not ok) checks with
+  | None -> Ok ()
+  | Some (_, msg) -> Error ("Config: " ^ msg)
+
+let validate t = match check t with Ok () -> () | Error msg -> invalid_arg msg
 
 let pp ppf t =
   Format.fprintf ppf

@@ -52,8 +52,14 @@ val unoptimized : t
 (** SwapVA with no internal optimizations and naive per-call broadcast
     shootdowns — the Fig. 8/9 baseline. *)
 
+val check : t -> (unit, string) Stdlib.result
+(** [Ok ()] for a runnable config, otherwise [Error] with a one-line
+    reason naming the first offending setting (e.g. a non-positive
+    [mem_limit_frames], or [Local_pinned] flushing without
+    [pin_compaction]).  Front ends call it before printing anything. *)
+
 val validate : t -> unit
-(** @raise Invalid_argument on inconsistent settings (e.g. [Local_pinned]
-    flushing without [pin_compaction]). *)
+(** {!check}, raising: what the collector constructors call.
+    @raise Invalid_argument with {!check}'s message. *)
 
 val pp : Format.formatter -> t -> unit

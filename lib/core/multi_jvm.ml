@@ -27,11 +27,6 @@ let create ?mem_limit_frames ?swap_cost_ns ?swap_dev ?cgroup machine ~instances
 
 let jvms t = t.jvms
 
-let run_round_robin_lockstep t ~steps ~step =
-  for s = 0 to steps - 1 do
-    Array.iter (fun jvm -> step jvm s) t.jvms
-  done
-
 (* Event-driven core: each JVM is a self-rescheduling process on the
    calendar; step [s] is its event at simulated ns [s].  All processes
    enter at ns 0 in index order and re-enter in firing order, so the

@@ -32,7 +32,7 @@ let fixture ~arena_pages ~seed =
     let a = Rng.int rng (arena_pages - (2 * pages) + 1) in
     let b = a + pages + Rng.int rng (arena_pages - a - (2 * pages) + 1) in
     ignore
-      (Swapva.swap_disjoint_run proc ~pmd_caching:true
+      (Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:false
          {
            Swapva.src = base + (a * Addr.page_size);
            dst = base + (b * Addr.page_size);

@@ -97,42 +97,38 @@ let charge_steady_pages_from ~acc0 ~get ~lk ~pe ~pages =
   done;
   acc.(0)
 
-let charge_steady_swap_pages ?(memo = false) t ~pages ~cached =
+let charge_steady_swap_pages t ~pages ~cached =
   (* Bulk-charge [pages] iterations of Algorithm 1's inner loop in which
      both getPTEs are steady (cache hits, or full walks when caching is
-     off). *)
+     off).  The serial 8-additions-per-page chain is the dominant host
+     cost of a large swap, and it is a pure function of (acc0 bits,
+     pages, cached) on a fixed cost model.  The machine's direct-mapped
+     memo replays the exact float computed by the reference chain for
+     that key, so hits are bit-identical by construction.  The index
+     mixes the integer part of acc0 (distinct between successive charges
+     of one op, since each bulk adds thousands of ns) with the encoded
+     page count. *)
   let cost = t.machine.Machine.cost in
   let pe = cost.Cost_model.pt_entry_ns in
   let lk = cost.Cost_model.lock_pair_ns in
   let get = if cached then pe else Cost_model.walk_cost_ns cost in
   let acc0 = t.cost in
+  let s = Machine.hot_scratch t.machine in
+  let enc = (pages lsl 1) lor (if cached then 1 else 0) in
+  let k = int_of_float acc0 in
+  let h = (k lxor (k lsr 17)) * 0x9E3779B1 in
+  let idx = (h lxor enc) land (Machine.memo_slots - 1) in
   let result =
-    if not memo then charge_steady_pages_from ~acc0 ~get ~lk ~pe ~pages
+    if
+      Array.unsafe_get s.Machine.hs_memo_enc idx = enc
+      && Array.unsafe_get s.Machine.hs_memo_acc idx = acc0
+    then Array.unsafe_get s.Machine.hs_memo_out idx
     else begin
-      (* The serial 8-additions-per-page chain is the dominant host cost
-         of a large swap, and it is a pure function of (acc0 bits, pages,
-         cached) on a fixed cost model.  The machine's direct-mapped memo
-         replays the exact float computed by the reference chain for that
-         key, so hits are bit-identical by construction.  The index mixes
-         the integer part of acc0 (distinct between successive charges of
-         one op, since each bulk adds thousands of ns) with the encoded
-         page count. *)
-      let s = Machine.hot_scratch t.machine in
-      let enc = (pages lsl 1) lor (if cached then 1 else 0) in
-      let k = int_of_float acc0 in
-      let h = (k lxor (k lsr 17)) * 0x9E3779B1 in
-      let idx = (h lxor enc) land (Machine.memo_slots - 1) in
-      if
-        Array.unsafe_get s.Machine.hs_memo_enc idx = enc
-        && Array.unsafe_get s.Machine.hs_memo_acc idx = acc0
-      then Array.unsafe_get s.Machine.hs_memo_out idx
-      else begin
-        let out = charge_steady_pages_from ~acc0 ~get ~lk ~pe ~pages in
-        Array.unsafe_set s.Machine.hs_memo_acc idx acc0;
-        Array.unsafe_set s.Machine.hs_memo_enc idx enc;
-        Array.unsafe_set s.Machine.hs_memo_out idx out;
-        out
-      end
+      let out = charge_steady_pages_from ~acc0 ~get ~lk ~pe ~pages in
+      Array.unsafe_set s.Machine.hs_memo_acc idx acc0;
+      Array.unsafe_set s.Machine.hs_memo_enc idx enc;
+      Array.unsafe_set s.Machine.hs_memo_out idx out;
+      out
     end
   in
   t.cost <- result;

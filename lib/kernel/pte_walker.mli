@@ -26,7 +26,7 @@ val get_pte : t -> int -> Pte.value array * int
 
 val cache_holds : t -> int -> bool
 (** Would [get_pte] on this address hit the PMD cache right now?  Used by
-    the run-coalesced engine to detect the steady state in which whole
+    the flat SwapVA engine to detect the steady state in which whole
     sub-runs can be charged in bulk. *)
 
 val charge_get_pte : t -> int -> leaf:Pte.value array -> unit
@@ -34,19 +34,19 @@ val charge_get_pte : t -> int -> leaf:Pte.value array -> unit
     hit or walk cost, counters, cache rotation — given that the caller
     already resolved the covering [leaf] (no radix descent happens). *)
 
-val charge_steady_swap_pages : ?memo:bool -> t -> pages:int -> cached:bool -> unit
+val charge_steady_swap_pages : t -> pages:int -> cached:bool -> unit
 (** Bulk-charge [pages] steady iterations of Algorithm 1's inner loop
     (two getPTEs that both {hit the PMD cache | are full walks}, two lock
     pairs, four PTE word accesses), accumulating cost in the reference
     loop's exact float-addition order and bumping
     [pmd_cache_hits]/[pt_walks] by [2*pages].
 
-    [memo] (default false; the flat engine passes true) consults the
-    machine's direct-mapped charge memo: the serial per-page addition
-    chain is a pure function of (current cost float, pages, cached) on a
-    fixed cost model, so a hit returns the exact float the reference
-    chain computed for that key — bit-identical by construction — and
-    skips the dominant serial-dependency loop of large swaps. *)
+    The charge goes through the machine's direct-mapped memo: the serial
+    per-page addition chain is a pure function of (current cost float,
+    pages, cached) on a fixed cost model, so a hit returns the exact
+    float the reference chain computed for that key — bit-identical by
+    construction — and skips the dominant serial-dependency loop of
+    large swaps. *)
 
 val read_slot : t -> Pte.value array * int -> Pte.value
 

@@ -54,9 +54,9 @@ let validate { src; dst; pages } =
 let unmapped ~va () = kerror (Kernel_error.EFAULT_unmapped { va })
 
 (* The body of Algorithm 1 for one request, page by page.  Kept as the
-   executable reference for the run-coalesced engine below: property tests
-   assert that both produce identical heap contents, perf-counter deltas
-   and bit-identical simulated cost.  Returns the PTE-work cost (no
+   executable reference for the flat engine below: property tests assert
+   that both produce identical heap contents, perf-counter deltas and
+   bit-identical simulated cost.  Returns the PTE-work cost (no
    syscall/flush). *)
 let swap_disjoint_per_page proc ~pmd_caching req =
   let machine = Process.machine proc in
@@ -92,160 +92,23 @@ let swap_disjoint_per_page proc ~pmd_caching req =
   Pte_walker.cost_ns walker
 
 (* Resolve [pages] pages starting at [va] into (leaf, start, len) slices —
-   one directory probe per PMD leaf instead of one per page — verifying
-   along the way that every PTE is present.  Raising here precedes all
+   one directory probe per PMD leaf instead of one per page — into the
+   reusable int-packed [buf], verifying along the way that every PTE is
+   mapped.  The first failure wins: a missing leaf is EFAULT at the
+   cursor, an absent page EFAULT at that page.  Raising here precedes all
    mutation, so a bad range can never leave a half-swapped window behind
-   (same guarantee, and same error, as the per-page precheck above).
-   Resolution and presence checking model the vma walk whose cost is the
-   caller's swap_setup_ns, so no walker cost is charged.
+   (same guarantee as the per-page precheck above).  Resolution and
+   presence checking model the vma walk whose cost is the caller's
+   swap_setup_ns, so no walker cost is charged.  Presence is prechecked
+   against the leaf's bitset words — O(1) for a fully-mapped leaf —
+   instead of loading every PTE.
 
    [fault] is the machine's injection plane (only the syscall path passes
-   it; the public engines stay injection-free so they remain usable as
-   oracles).  Its [pte] clause is consulted once per page, in address
-   order, and a firing reports the page as [EFAULT_unmapped] exactly as a
-   racing unmap would — still strictly before any mutation. *)
-let resolve_present_runs ?(fault = None) pt ~va ~pages =
-  let runs = ref [] and n_runs = ref 0 in
-  let absent = Pte.none in
-  let cursor = ref va and remaining = ref pages in
-  while !remaining > 0 do
-    match Page_table.find_leaf_run pt !cursor ~max_pages:!remaining with
-    | None -> unmapped ~va:!cursor ()
-    | Some (leaf, start, len) ->
-      let stop = start + len in
-      (match fault with
-      | None ->
-        (* [find_leaf_run] guarantees [start + len <= Array.length leaf];
-           this scan visits every page of every swap, so skip the per-read
-           bounds check and compare against the hoisted absent value rather
-           than calling [Pte.is_present] per page. *)
-        let i = ref start in
-        while !i < stop && Array.unsafe_get leaf !i <> absent do
-          incr i
-        done;
-        if !i < stop then unmapped ~va:(!cursor + ((!i - start) * Addr.page_size)) ()
-      | Some inj ->
-        for i = start to stop - 1 do
-          let page_va = !cursor + ((i - start) * Addr.page_size) in
-          if
-            Array.unsafe_get leaf i = absent
-            || Svagc_fault.Injector.fire inj
-                 ~site:Svagc_fault.Fault_spec.Pte_resolve ~va:page_va
-          then unmapped ~va:page_va ()
-        done);
-      runs := (leaf, start, len) :: !runs;
-      incr n_runs;
-      cursor := !cursor + (len * Addr.page_size);
-      remaining := !remaining - len
-  done;
-  (Array.of_list (List.rev !runs), !n_runs)
-
-(* Run-coalesced body of Algorithm 1: same observable behaviour and
-   simulated cost as [swap_disjoint_per_page], paid for with one directory
-   walk per 512-page leaf instead of two walks + two cache probes per page.
-   PTE slices are exchanged with tight array loops; the per-page cost-model
-   charges are emulated exactly (head pages one at a time until both
-   streams sit in the PMD cache, then whole sub-runs in bulk).
-
-   With [leaf_swap] (the opt-in pmd_leaf_swap mode) sub-runs that cover a
-   whole PMD-aligned 512-page leaf on both sides are exchanged at the PMD
-   directory level in O(1) simulated cost — this mode deliberately changes
-   the cost model and is excluded from the equivalence guarantee. *)
-let swap_disjoint_runs ?(fault = None) proc ~pmd_caching ~leaf_swap req =
-  let machine = Process.machine proc in
-  let aspace = Process.aspace proc in
-  let pt = Address_space.page_table aspace in
-  let perf = machine.Machine.perf in
-  let cost = machine.Machine.cost in
-  let ps = Addr.page_size in
-  let src_runs, n_src =
-    resolve_present_runs ~fault pt ~va:req.src ~pages:req.pages
-  in
-  let dst_runs, n_dst =
-    resolve_present_runs ~fault pt ~va:req.dst ~pages:req.pages
-  in
-  perf.Perf.leaf_runs <- perf.Perf.leaf_runs + n_src + n_dst;
-  let walker = Pte_walker.create machine pt ~pmd_caching in
-  let si = ref 0 and soff = ref 0 in
-  let di = ref 0 and doff = ref 0 in
-  let done_pages = ref 0 in
-  while !done_pages < req.pages do
-    let ls, ss, ns = src_runs.(!si) in
-    let ld, ds, nd = dst_runs.(!di) in
-    let avail = min (ns - !soff) (nd - !doff) in
-    let src_va = req.src + (!done_pages * ps) in
-    let dst_va = req.dst + (!done_pages * ps) in
-    if
-      leaf_swap && avail = Addr.pages_per_pmd && ss = 0 && ds = 0 && !soff = 0
-      && !doff = 0
-    then begin
-      (* Whole-leaf fast path: exchange the two PMD directory entries. *)
-      Page_table.swap_pmd_entries pt src_va dst_va;
-      Pte_walker.add_cost walker cost.Cost_model.pmd_swap_ns;
-      perf.Perf.pmd_leaf_swaps <- perf.Perf.pmd_leaf_swaps + 1;
-      perf.Perf.ptes_swapped <- perf.Perf.ptes_swapped + 2
-    end
-    else begin
-      (* Head pages: emulate the reference loop page-at-a-time until both
-         streams are sure PMD-cache hits (at most a couple of pages). *)
-      let k = ref 0 in
-      if pmd_caching then
-        while
-          !k < avail
-          && not
-               (Pte_walker.cache_holds walker (src_va + (!k * ps))
-               && Pte_walker.cache_holds walker (dst_va + (!k * ps)))
-        do
-          Pte_walker.charge_get_pte walker (src_va + (!k * ps)) ~leaf:ls;
-          Pte_walker.charge_get_pte walker (dst_va + (!k * ps)) ~leaf:ld;
-          Pte_walker.charge_lock_pair walker;
-          Pte_walker.charge_lock_pair walker;
-          let slot1 = (ls, ss + !soff + !k) in
-          let slot2 = (ld, ds + !doff + !k) in
-          let pte1 = Pte_walker.read_slot walker slot1 in
-          let pte2 = Pte_walker.read_slot walker slot2 in
-          Pte_walker.write_slot walker slot1 pte2;
-          Pte_walker.write_slot walker slot2 pte1;
-          incr k
-        done;
-      (* Steady remainder of the sub-run: slice exchange + bulk charge. *)
-      let bulk = avail - !k in
-      if bulk > 0 then begin
-        Pte_walker.charge_steady_swap_pages walker ~pages:bulk
-          ~cached:pmd_caching;
-        Page_table.swap_pte_runs ls ~start_a:(ss + !soff + !k) ld
-          ~start_b:(ds + !doff + !k) ~len:bulk
-      end;
-      perf.Perf.ptes_swapped <- perf.Perf.ptes_swapped + (2 * avail)
-    end;
-    done_pages := !done_pages + avail;
-    soff := !soff + avail;
-    if !soff = ns then begin
-      incr si;
-      soff := 0
-    end;
-    doff := !doff + avail;
-    if !doff = nd then begin
-      incr di;
-      doff := 0
-    end
-  done;
-  perf.Perf.bytes_remapped <-
-    perf.Perf.bytes_remapped + (req.pages * Addr.page_size);
-  Pte_walker.cost_ns walker
-
-let swap_disjoint_run ?(leaf_swap = false) proc ~pmd_caching req =
-  swap_disjoint_runs proc ~pmd_caching ~leaf_swap req
-
-(* Flat-path resolver: same slicing and same first-failure order as
-   [resolve_present_runs] (leaf missing -> EFAULT at the cursor; absent
-   page -> EFAULT at that page; both strictly before any mutation), but
-   slices land in a reusable int-packed [run_buf] (no list/tuple/array
-   allocation) and presence is prechecked against the leaf's bitset
-   words — O(1) for a fully-mapped leaf — instead of loading every PTE.
-   With an injector installed the per-page consult loop must run in
-   address order with the exact absent-before-fire short-circuit of the
-   reference resolver, so that path still reads each PTE. *)
+   it, so the engine stays injection-free when called directly).  Its
+   [pte] clause is consulted once per page, in address order, after that
+   page's absence check, and a firing reports the page as
+   [EFAULT_unmapped] exactly as a racing unmap would — still strictly
+   before any mutation. *)
 let resolve_mapped_slices ?(fault = None) pt ~va ~pages ~buf =
   let absent = Pte.none in
   let ps = Addr.page_size in
@@ -278,15 +141,21 @@ let resolve_mapped_slices ?(fault = None) pt ~va ~pages ~buf =
         remaining := !remaining - len
     done)
 
-(* Flat engine: observably identical to [swap_disjoint_runs] — same
-   heap mutations, same counters, bit-identical simulated cost — with
-   the remaining per-op host work removed: slice descriptors live in the
-   machine's scratch run buffers (int-packed, reused across ops),
-   presence prechecks read bitset words, and the bulk steady-state
-   charge goes through the machine's memo ([?memo] on
-   [Pte_walker.charge_steady_swap_pages]), which replays the exact
-   reference float for a repeated (cost, pages, cached) key instead of
-   re-running the serial 8-additions-per-page chain. *)
+(* Flat body of Algorithm 1: same observable behaviour and simulated
+   cost as [swap_disjoint_per_page] — same heap mutations, same counters,
+   bit-identical float — paid for with one directory walk per 512-page
+   leaf instead of two walks + two cache probes per page, and no per-op
+   host allocation: slice descriptors live in the machine's scratch run
+   buffers, PTE slices are exchanged with tight array loops, and the
+   per-page cost-model charges are emulated exactly (head pages one at a
+   time until both streams sit in the PMD cache, then whole sub-runs
+   through [Pte_walker.charge_steady_swap_pages], whose memo replays the
+   exact reference float for a repeated (cost, pages, cached) key).
+
+   With [leaf_swap] (the opt-in pmd_leaf_swap mode) sub-runs that cover a
+   whole PMD-aligned 512-page leaf on both sides are exchanged at the PMD
+   directory level in O(1) simulated cost — this mode deliberately changes
+   the cost model and is excluded from the equivalence guarantee. *)
 let swap_disjoint_flat ?(fault = None) proc ~pmd_caching ~leaf_swap req =
   let machine = Process.machine proc in
   let aspace = Process.aspace proc in
@@ -320,6 +189,7 @@ let swap_disjoint_flat ?(fault = None) proc ~pmd_caching ~leaf_swap req =
       leaf_swap && avail = Addr.pages_per_pmd && ss = 0 && ds = 0 && !soff = 0
       && !doff = 0
     then begin
+      (* Whole-leaf fast path: exchange the two PMD directory entries. *)
       Page_table.swap_pmd_entries pt src_va dst_va;
       Pte_walker.add_cost walker cost.Cost_model.pmd_swap_ns;
       perf.Perf.pmd_leaf_swaps <- perf.Perf.pmd_leaf_swaps + 1;
@@ -353,8 +223,7 @@ let swap_disjoint_flat ?(fault = None) proc ~pmd_caching ~leaf_swap req =
       (* Steady remainder: memoized bulk charge + slice exchange. *)
       let bulk = avail - !k in
       if bulk > 0 then begin
-        Pte_walker.charge_steady_swap_pages ~memo:true walker ~pages:bulk
-          ~cached:pmd_caching;
+        Pte_walker.charge_steady_swap_pages walker ~pages:bulk ~cached:pmd_caching;
         Page_table.swap_pte_runs lsp ~start_a:(ss + !soff + !k) ldp
           ~start_b:(ds + !doff + !k) ~len:bulk
       end;

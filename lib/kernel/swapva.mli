@@ -16,7 +16,7 @@ type opts = {
           512-page leaf on both sides are exchanged at the PMD directory
           level in O(1) simulated cost ([Cost_model.pmd_swap_ns]).  Unlike
           every other option this changes the modeled cost, so it is off in
-          both presets and excluded from the per-page/run equivalence
+          both presets and excluded from the per-page/flat equivalence
           guarantee. *)
 }
 
@@ -38,20 +38,9 @@ val ranges_overlap : request -> bool
 val swap_disjoint_per_page : Process.t -> pmd_caching:bool -> request -> float
 (** The page-at-a-time reference body of Algorithm 1 (no syscall/flush):
     full presence precheck, then per-page getPTE / lock / exchange.  Kept
-    as the executable oracle for {!swap_disjoint_run} — property tests
+    as the executable oracle for {!swap_disjoint_flat} — property tests
     assert both produce identical heaps, perf-counter deltas and
     bit-identical cost.  Not used by {!swap}. *)
-
-val swap_disjoint_run :
-  ?leaf_swap:bool -> Process.t -> pmd_caching:bool -> request -> float
-(** The run-coalesced body of Algorithm 1 used by {!swap} (no
-    syscall/flush): ranges resolve into (leaf, start, len) slices once per
-    PMD leaf, presence is verified in the same pass (before any mutation),
-    and PTE slices are exchanged with tight array loops while the cost
-    model is charged exactly as the reference would.  [leaf_swap]
-    (default false) additionally exchanges whole PMD-aligned 512-page
-    sub-runs at the directory level for [Cost_model.pmd_swap_ns] each —
-    outside the cost-equivalence guarantee. *)
 
 val swap_disjoint_flat :
   ?fault:Svagc_fault.Injector.t option ->
@@ -60,16 +49,19 @@ val swap_disjoint_flat :
   leaf_swap:bool ->
   request ->
   float
-(** The flat body of Algorithm 1 used by {!swap} (no syscall/flush):
-    observably identical to {!swap_disjoint_run} — same heap mutations,
-    same counters, bit-identical simulated cost — with the remaining
-    per-op host allocation removed.  Slice descriptors live in the
-    machine's reusable scratch buffers ({!Svagc_vmem.Machine.hot_scratch}),
-    presence is prechecked against per-leaf bitset words (O(1) for a
-    fully-mapped leaf), and the steady-state bulk charge is memoized on
-    (cost, pages, cached) keys, replaying the exact reference float.
-    [fault]'s [pte] clause is consulted per page in address order, exactly
-    like the reference resolver.
+(** The body of Algorithm 1 used by {!swap} (no syscall/flush): observably
+    identical to {!swap_disjoint_per_page} — same heap mutations, same
+    counters, bit-identical simulated cost.  Ranges resolve into (leaf,
+    start, len) slices once per PMD leaf, held in the machine's reusable
+    scratch buffers ({!Svagc_vmem.Machine.hot_scratch}); presence is
+    prechecked against per-leaf bitset words (O(1) for a fully-mapped
+    leaf) before any mutation; PTE slices are exchanged with tight array
+    loops; and the steady-state bulk charge is memoized on (cost, pages,
+    cached) keys, replaying the exact reference float.  [leaf_swap]
+    additionally exchanges whole PMD-aligned 512-page sub-runs at the
+    directory level for [Cost_model.pmd_swap_ns] each — outside the
+    cost-equivalence guarantee.  [fault]'s [pte] clause is consulted per
+    page in address order.
     @raise Svagc_fault.Kernel_error.Fault before any mutation on a
     non-mapped page or firing clause. *)
 

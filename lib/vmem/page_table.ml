@@ -109,14 +109,6 @@ let get_pte t va =
   | None -> Pte.none
   | Some leaf -> leaf.ptes.(Addr.pte_index va)
 
-let find_leaf_run t va ~max_pages =
-  if max_pages <= 0 then invalid_arg "Page_table.find_leaf_run: empty run";
-  match find_leaf_record t va with
-  | None -> None
-  | Some leaf ->
-    let start = Addr.pte_index va in
-    Some (leaf.ptes, start, min max_pages (Addr.entries_per_table - start))
-
 let leaf_mapped_count leaf = leaf.mapped_count
 let leaf_ptes leaf = leaf.ptes
 

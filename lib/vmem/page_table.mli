@@ -42,14 +42,6 @@ val ensure_leaf : t -> int -> Pte.value array
 val get_pte : t -> int -> Pte.value
 (** [Pte.none] when unmapped. *)
 
-val find_leaf_run : t -> int -> max_pages:int -> (Pte.value array * int * int) option
-(** [find_leaf_run t va ~max_pages] resolves [va] with ONE directory walk
-    into a [(leaf, start, len)] slice: the PTE leaf covering [va], the index
-    of [va] inside it, and how many consecutive pages (at most [max_pages])
-    the slice covers before the next PMD boundary.  [None] when no leaf
-    exists.  This is the unit the run-coalesced SwapVA fast path operates
-    on: one walk per up-to-512-page run instead of one per page. *)
-
 val swap_pte_runs :
   Pte.value array -> start_a:int -> Pte.value array -> start_b:int -> len:int ->
   unit

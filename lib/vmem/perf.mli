@@ -11,7 +11,7 @@ type t = {
   mutable pt_walks : int;  (** full 4-level getPTE walks *)
   mutable pmd_cache_hits : int;
   mutable leaf_runs : int;
-      (** (leaf, start, len) slices processed by the run-coalesced SwapVA
+      (** (leaf, start, len) slices processed by the flat SwapVA
           engine: one per PMD-leaf crossing per stream, the unit the batched
           fast path walks at *)
   mutable runs_coalesced : int;

@@ -41,6 +41,49 @@ let test_config_bad_values () =
   Alcotest.(check bool) "threads" true
     (invalid { Config.default with Config.gc_threads = 0 })
 
+(* [check] names the first offending field in one line, so the CLI can
+   report it as a usage error before printing anything. *)
+let test_config_check_rejects () =
+  let reason cfg =
+    match Config.check cfg with Ok () -> "ok" | Error msg -> msg
+  in
+  let d = Config.default in
+  List.iter
+    (fun (name, cfg, expected) ->
+      Alcotest.(check string) name expected (reason cfg))
+    [
+      ("default", d, "ok");
+      ("unoptimized", Config.unoptimized, "ok");
+      ( "threshold",
+        { d with Config.threshold_pages = 0 },
+        "Config: threshold must be positive" );
+      ( "batch",
+        { d with Config.aggregation_batch = -1 },
+        "Config: batch must be positive" );
+      ( "gc_threads",
+        { d with Config.gc_threads = 0 },
+        "Config: gc_threads must be positive" );
+      ( "mem_limit_frames 0",
+        { d with Config.mem_limit_frames = Some 0 },
+        "Config: mem_limit_frames must be positive" );
+      ( "mem_limit_frames -5",
+        { d with Config.mem_limit_frames = Some (-5) },
+        "Config: mem_limit_frames must be positive" );
+      ( "swap_cost_ns -1",
+        { d with Config.swap_cost_ns = Some (-1.0); mem_limit_frames = Some 4000 },
+        "Config: swap_cost_ns must be non-negative" );
+      ( "pinning",
+        { d with Config.pin_compaction = false },
+        "Config: Local_pinned flushing is only sound under pinned compaction \
+         (Algorithm 4)" );
+    ];
+  Alcotest.check_raises "collector raises the same reason"
+    (Invalid_argument "Config: mem_limit_frames must be positive") (fun () ->
+      ignore
+        (Svagc.collector
+           ~config:{ d with Config.mem_limit_frames = Some 0 }
+           (Helpers.heap ())))
+
 (* --- Move_object --- *)
 
 let test_should_swap_threshold () =
@@ -228,6 +271,8 @@ let () =
           Alcotest.test_case "defaults valid" `Quick test_config_defaults_valid;
           Alcotest.test_case "pinning constraint" `Quick test_config_pinning_constraint;
           Alcotest.test_case "bad values" `Quick test_config_bad_values;
+          Alcotest.test_case "check names the field" `Quick
+            test_config_check_rejects;
         ] );
       ( "move_object",
         [

@@ -391,12 +391,12 @@ let prop_aggregated_equals_separated_state =
       in
       run true = run false)
 
-(* --- Run-coalesced engine vs per-page reference --- *)
+(* --- Flat engine vs per-page reference --- *)
 
-(* The run-coalesced engine must be observationally identical to the
+(* The flat engine must be observationally identical to the
    page-at-a-time reference: same memory, same perf-counter deltas and
    bit-identical simulated cost (the bulk charge replays the reference
-   loop's float additions in order).  Only [leaf_runs] differs — the run
+   loop's float additions in order).  Only [leaf_runs] differs — the flat
    engine counts the slices it resolves, the reference never does — so
    the comparison zeroes it. *)
 let engine_outcome ~window_pages ~pmd_caching ~engine req =
@@ -411,10 +411,10 @@ let engine_outcome ~window_pages ~pmd_caching ~engine req =
   in
   (ns, Perf.to_assoc d, csum)
 
-let prop_run_engine_equals_per_page =
+let prop_flat_engine_equals_per_page =
   (* Offsets chosen so both ranges regularly straddle the 512-page PMD
      leaf boundaries at 512 and 1024. *)
-  qtest ~count:30 "run-coalesced engine == per-page reference"
+  qtest ~count:30 "flat engine == per-page reference"
     QCheck.(
       quad (int_range 440 520) (int_range 960 1040) (int_range 1 150) bool)
     (fun (src_page, dst_page, pages, pmd_caching) ->
@@ -432,15 +432,15 @@ let prop_run_engine_equals_per_page =
         engine_outcome ~window_pages ~pmd_caching
           ~engine:Swapva.swap_disjoint_per_page req
       in
-      let run_ns, run_perf, run_csum =
+      let flat_ns, flat_perf, flat_csum =
         engine_outcome ~window_pages ~pmd_caching
           ~engine:(fun proc ~pmd_caching req ->
-            Swapva.swap_disjoint_run proc ~pmd_caching req)
+            Swapva.swap_disjoint_flat proc ~pmd_caching ~leaf_swap:false req)
           req
       in
-      ref_ns = run_ns && ref_perf = run_perf && ref_csum = run_csum)
+      ref_ns = flat_ns && ref_perf = flat_perf && ref_csum = flat_csum)
 
-let test_run_engine_unmapped_no_mutation () =
+let test_flat_engine_unmapped_no_mutation () =
   let machine, proc = fresh () in
   let aspace = mapped_window proc ~pages:8 in
   (* Punch a hole in the middle of the dst range. *)
@@ -453,7 +453,7 @@ let test_run_engine_unmapped_no_mutation () =
   let err =
     try
       ignore
-        (Swapva.swap_disjoint_run proc ~pmd_caching:true
+        (Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:false
            { Swapva.src = base; dst = base + (4 * Addr.page_size); pages = 4 });
       None
     with Kernel_error.Fault e -> Some e
@@ -484,7 +484,7 @@ let test_leaf_swap_whole_leaf () =
   let aspace = big_window proc ~pages:(3 * leaf) in
   let dst = base + (2 * leaf * Addr.page_size) in
   let ns =
-    Swapva.swap_disjoint_run ~leaf_swap:true proc ~pmd_caching:true
+    Swapva.swap_disjoint_flat ~leaf_swap:true proc ~pmd_caching:true
       { Swapva.src = base; dst; pages = leaf }
   in
   let perf = machine.Machine.perf in
@@ -503,9 +503,9 @@ let test_leaf_swap_falls_back_when_unaligned () =
   let machine, proc = fresh () in
   let _ = big_window proc ~pages:(3 * leaf) in
   (* Same size, but src one page off a PMD boundary: must take the normal
-     run-coalesced path with per-page costs. *)
+     flat path with per-page costs. *)
   let ns_unaligned =
-    Swapva.swap_disjoint_run ~leaf_swap:true proc ~pmd_caching:true
+    Swapva.swap_disjoint_flat ~leaf_swap:true proc ~pmd_caching:true
       {
         Swapva.src = base + Addr.page_size;
         dst = base + ((2 * leaf + 1) * Addr.page_size);
@@ -529,13 +529,13 @@ let test_leaf_swap_partial_tail () =
   let req =
     { Swapva.src = base; dst = base + (2 * leaf * Addr.page_size); pages = 600 }
   in
-  ignore (Swapva.swap_disjoint_run ~leaf_swap:true proc ~pmd_caching:true req);
+  ignore (Swapva.swap_disjoint_flat ~leaf_swap:true proc ~pmd_caching:true req);
   let perf = machine.Machine.perf in
   Alcotest.(check int) "one leaf swap" 1 perf.Perf.pmd_leaf_swaps;
   Alcotest.(check int) "2 + 2*88 PTE exchanges" (2 + (2 * 88))
     perf.Perf.ptes_swapped;
   Alcotest.(check bool) "window changed" true (c0 <> csum ());
-  ignore (Swapva.swap_disjoint_run ~leaf_swap:true proc ~pmd_caching:true req);
+  ignore (Swapva.swap_disjoint_flat ~leaf_swap:true proc ~pmd_caching:true req);
   Alcotest.(check int64) "double swap restores" c0 (csum ())
 
 let test_leaf_swap_ignores_overlap_path () =
@@ -648,11 +648,11 @@ let () =
           prop_swap_sequence_preserves_content_multiset;
           prop_aggregated_equals_separated_state;
         ] );
-      ( "run_engine",
+      ( "flat_engine",
         [
-          prop_run_engine_equals_per_page;
+          prop_flat_engine_equals_per_page;
           Alcotest.test_case "unmapped: exact error, no mutation" `Quick
-            test_run_engine_unmapped_no_mutation;
+            test_flat_engine_unmapped_no_mutation;
         ] );
       ( "leaf_swap",
         [

@@ -188,7 +188,11 @@ let run_multi ~engine () =
   in
   (match engine with
   | `Calendar -> Multi_jvm.run_round_robin multi ~steps:120 ~step
-  | `Lockstep -> Multi_jvm.run_round_robin_lockstep multi ~steps:120 ~step);
+  | `Lockstep ->
+    (* The reference: the plain nested lockstep loop. *)
+    for s = 0 to 119 do
+      Array.iter (fun jvm -> step jvm s) (Multi_jvm.jvms multi)
+    done);
   let gcs = Array.map Jvm.gc_count (Multi_jvm.jvms multi) in
   let summary =
     ( Multi_jvm.max_total_ns multi,
