@@ -334,17 +334,25 @@ let trace_cmd =
       swap_cost_ns =
     let module Tracer = Svagc_trace.Tracer in
     let module Machine = Svagc_vmem.Machine in
-    if capacity <= 0 then begin
-      Printf.eprintf "trace: --capacity must be positive (got %d)\n" capacity;
-      exit 1
-    end;
     let config =
       svagc_config ~no_coalesce ~pmd_leaf_swap ~fault_spec ~fault_seed
         ~mem_limit_frames ~swap_cost_ns
     in
-    match validate_run ~config ~heap_factor ~steps with
+    (* The output file is opened before tracing starts, so an unwritable
+       path is a usage error rather than a crash after the run. *)
+    let checked =
+      if capacity <= 0 then
+        Error (Printf.sprintf "--capacity must be positive (got %d)" capacity)
+      else
+        match validate_run ~config ~heap_factor ~steps with
+        | Error _ as e -> e
+        | Ok () -> (
+          try Ok (open_out_bin out)
+          with Sys_error msg -> Error ("cannot write trace: " ^ msg))
+    in
+    match checked with
     | Error msg -> `Error (false, msg)
-    | Ok () ->
+    | Ok oc ->
       let tracer = Tracer.start ~capacity () in
       (match (exp_id, workload_name) with
       | Some id, _ -> (
@@ -395,9 +403,10 @@ let trace_cmd =
           Svagc_core.Multi_jvm.release multi
         end);
       (match Tracer.stop () with
-      | None -> ()
+      | None -> close_out oc
       | Some t ->
-        Svagc_trace.Chrome_trace.write_file t out;
+        output_string oc (Svagc_trace.Chrome_trace.to_string t);
+        close_out oc;
         Printf.printf "wrote %s: %d events (%d dropped, capacity %d)\n" out
           (List.length (Svagc_trace.Tracer.events t))
           (Svagc_trace.Tracer.dropped t)

@@ -323,8 +323,8 @@ let cycle_digest (c : Gc_stats.cycle) =
 
 (* Deterministic object soup: a mix of small and page-aligned swappable
    objects, most rooted and chained both ways, the rest garbage — enough
-   structure that every LISP2 phase (and both fan-out sites: mark's
-   flag-clear, adjust's rewrites) has real work. *)
+   structure that every LISP2 phase has real work.  The GC cycles guard
+   that collection never becomes dependent on the domain count. *)
 let par_populate rng heap ~objects =
   let prev = ref None in
   for i = 0 to objects - 1 do

@@ -5,14 +5,13 @@
     records in this simulator and follow their objects implicitly; the
     per-object cost still charges the root-set fixups a real VM performs.)
 
-    Host parallelism (DESIGN.md §13): the rewrites fan out over
-    [threads] shards on the global [Svagc_par.Domain_pool] — each live
-    object rewrites only its own refs array, and the per-object costs
-    are written by absolute index into the cost vector, so the replayed
-    makespan is bit-identical to the sequential implementation at any
-    domain count. *)
+    The rewrites run on the calling domain, in [live] order (DESIGN.md
+    §13); the simulated parallelism is the work-stealing makespan over
+    [threads]. *)
 
 open Svagc_heap
 
 val run : Heap.t -> threads:int -> live:Obj_model.t list -> float
-(** Returns the phase time in ns. *)
+(** Returns the phase time in ns.
+    @raise Invalid_argument on the first reference, in [live] order, to
+      an unmarked object or to an address no object occupies. *)

@@ -9,9 +9,7 @@ module Process = Svagc_kernel.Process
    earlier one vacated), and the SwapVA mover's walk-cache and
    pmd_cache_hits counters carry temporal state between consecutive
    requests — fanning the move stream out would change counters and costs,
-   breaking bit-identity.  Host parallelism enters through the phases that
-   are genuinely data-parallel (mark's clear sweep, adjust's rewrites,
-   Par_sweep). *)
+   breaking bit-identity. *)
 
 type entry = {
   obj : Obj_model.t;

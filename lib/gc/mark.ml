@@ -3,28 +3,10 @@ module Vec = Svagc_util.Vec
 module Machine = Svagc_vmem.Machine
 module Cost_model = Svagc_vmem.Cost_model
 
-(* The flag-clear sweep is the data-parallel part of marking: every object
-   record is distinct and the sweep produces no value, so each shard can
-   clear a disjoint [Reduce.slice] of the object vec on its own domain with
-   nothing to merge.  The traversal below stays sequential on purpose —
-   mark order defines the cost-vector order the simulated schedule replays
-   (DESIGN.md §13). *)
-let clear_marks heap ~shards =
-  let objs = Heap.objects heap in
-  let n = Vec.length objs in
-  Svagc_par.Domain_pool.run
-    (Svagc_par.Domain_pool.global ())
-    ~shards
-    (fun s ->
-      let lo, hi = Svagc_par.Reduce.slice ~len:n ~shards s in
-      for idx = lo to hi - 1 do
-        (Vec.get objs idx).Obj_model.marked <- false
-      done)
-
 let run heap ~threads =
   let machine = Svagc_kernel.Process.machine (Heap.proc heap) in
   let cost = machine.Machine.cost in
-  clear_marks heap ~shards:threads;
+  Vec.iter (fun o -> o.Obj_model.marked <- false) (Heap.objects heap);
   let costs = Vec.create () in
   let stack = Vec.create () in
   Heap.iter_roots heap (fun o -> Vec.push stack o);

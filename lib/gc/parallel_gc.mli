@@ -3,13 +3,10 @@
     compaction (the cost structure the paper attributes to OpenJDK's
     ParallelGC full collections).
 
-    "Parallel" means two different things here, deliberately kept apart
-    (DESIGN.md §13): phase {e makespans} are simulated work-stealing
-    schedules over [threads] workers ([Svagc_par.Work_steal]), while the
-    phases' data-parallel {e side effects} (mark's flag-clear sweep,
-    adjust's pointer rewrites) additionally execute on real host domains
-    through [Svagc_par.Domain_pool] — with observable outputs
-    bit-identical at any domain count. *)
+    "Parallel" is simulated (DESIGN.md §13): phase {e makespans} are
+    work-stealing schedules over [threads] workers
+    ([Svagc_par.Work_steal]), while the phases themselves execute on the
+    calling host domain, so outputs never depend on [DOMAINS]. *)
 
 open Svagc_heap
 

@@ -21,7 +21,7 @@ let move ?measure_core ?(cold = false) aspace ~src ~dst ~len =
     (* A page-chunked in-place copy would need direction analysis for
        overlap; staging through a buffer gives memmove semantics simply and
        the simulated cost is charged analytically anyway.  The buffer is
-       this domain's reusable one.  Every source chunk is read before any
+       the machine's reusable one.  Every source chunk is read before any
        destination chunk is written, so under reclaim the demand faults and
        evictions happen in source-then-destination order. *)
     let scratch = Machine.hot_scratch machine in

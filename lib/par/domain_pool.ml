@@ -1,4 +1,8 @@
-module Domain_slot = Svagc_util.Domain_slot
+(* Upper bound on [domains]; [DOMAINS] is clamped to it. *)
+let max_domains = 128
+
+(* Set on pool workers, so a [run] issued from one degrades to inline. *)
+let on_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 (* One fan-out: a shard counter claimed with an atomic fetch-and-add.
    The [b_done] counter doubles as the synchronisation edge — workers
@@ -45,8 +49,8 @@ let drain t b =
   in
   claim ()
 
-let worker_loop t slot =
-  Domain_slot.set_slot slot;
+let worker_loop t =
+  Domain.DLS.set on_worker true;
   let seen = ref 0 in
   let rec loop () =
     Mutex.lock t.mu;
@@ -67,7 +71,7 @@ let worker_loop t slot =
   loop ()
 
 let create ~domains =
-  if domains < 1 || domains > Domain_slot.max_slots then
+  if domains < 1 || domains > max_domains then
     invalid_arg "Domain_pool.create: domains out of range";
   let t =
     {
@@ -82,8 +86,7 @@ let create ~domains =
     }
   in
   t.workers <-
-    Array.init (domains - 1) (fun w ->
-        Domain.spawn (fun () -> worker_loop t (w + 1)));
+    Array.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let shutdown t =
@@ -117,8 +120,8 @@ let run_batch t b =
   t.epoch <- t.epoch + 1;
   Condition.broadcast t.work_cv;
   Mutex.unlock t.mu;
-  (* The caller is execution stream 0: it claims shards like any
-     worker, then blocks only for the stragglers. *)
+  (* The caller claims shards like any worker, then blocks only for the
+     stragglers. *)
   drain t b;
   Mutex.lock t.mu;
   while Atomic.get b.b_done < b.b_total do
@@ -131,7 +134,7 @@ let run_batch t b =
 let run t ~shards task =
   if shards < 0 then invalid_arg "Domain_pool.run: negative shards";
   if shards = 0 then ()
-  else if t.n_domains = 1 || shards = 1 || Domain_slot.my_slot () <> 0 then
+  else if t.n_domains = 1 || shards = 1 || Domain.DLS.get on_worker then
     run_inline ~shards task
   else begin
     let b =
@@ -170,7 +173,7 @@ let default_domains () =
   match Sys.getenv_opt "DOMAINS" with
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some n -> max 1 (min n Domain_slot.max_slots)
+    | Some n -> max 1 (min n max_domains)
     | None -> 1)
   | None -> max 1 (min 4 (Domain.recommended_domain_count ()))
 

@@ -7,17 +7,18 @@
       (the numbers the experiments publish) are replays of a
       work-stealing schedule over per-task simulated costs, exactly as
       before.
-    - [Domain_pool] is the {e host-time} executor: the side effects of a
-      data-parallel phase (flag sweeps, pointer rewrites, page-table
-      walks) actually run on [domains] hardware threads.
+    - [Domain_pool] is the {e host-time} executor: the shards of a
+      data-parallel page-table audit ({!Par_sweep}) actually run on
+      [domains] hardware threads.  GC phases never use it: they run on
+      the calling domain (DESIGN.md §13.1 gives the measurement).
 
     Determinism contract ("sharding is semantic, domains are
     mechanical"): work is always expressed as a fixed number of
     {e shards} — deterministic, contiguous partitions produced by
     {!Reduce.slice} — and every shard writes only shard-local state (its
-    own slice of a results array, its own scratch, its own
-    [Svagc_vmem.Perf] delta).  Shard results are merged by the caller in
-    canonical shard order with the {!Reduce} combinators.  The shard
+    own slice of a results array, its own [Svagc_vmem.Perf] delta).
+    Shard results are merged by the caller in canonical shard order
+    with the {!Reduce} combinators.  The shard
     count and partition never depend on [domains], so a 1-domain run and
     an N-domain run execute byte-identical per-shard computations and
     merge them in the identical order: every observable output — clocks,
@@ -28,19 +29,16 @@
     counter), which affects only {e which} domain runs a shard, never
     the shard's result or the merge order.
 
-    Workers carry {!Svagc_util.Domain_slot} slots [1 .. domains-1], so
-    per-domain machine state ([Machine.hot_scratch]) is keyed without
-    locking.  The pool is driven from the main domain (slot 0) only; a
-    [run] issued from inside a worker (nesting) degrades to inline
-    sequential execution, which is always safe. *)
+    The pool is driven from one caller domain; a [run] issued from
+    inside a worker (nesting) degrades to inline sequential execution,
+    which is always safe. *)
 
 type t
 
 val create : domains:int -> t
 (** Spawn a pool of [domains - 1] worker domains ([domains = 1] spawns
     none and {!run} executes inline).
-    @raise Invalid_argument unless
-      [1 <= domains <= Svagc_util.Domain_slot.max_slots]. *)
+    @raise Invalid_argument unless [1 <= domains <= 128]. *)
 
 val domains : t -> int
 (** Total execution streams, the caller's domain included. *)
@@ -68,15 +66,15 @@ val map_shards : t -> shards:int -> (int -> 'a) -> 'a array
 
 val default_domains : unit -> int
 (** The [DOMAINS] environment variable when set (clamped to
-    [1 .. Domain_slot.max_slots]); otherwise
+    [1 .. 128]); otherwise
     [min 4 (Domain.recommended_domain_count ())] — 4 matching the
     paper's [GCThreadsCount] tuning, fewer when the host has fewer
     cores. *)
 
 val global : unit -> t
 (** The process-wide pool, created on first use with
-    {!default_domains} and joined at process exit.  GC phases fan out
-    through this pool by default. *)
+    {!default_domains} and joined at process exit.  {!Par_sweep} runs
+    on it unless given a pool. *)
 
 val with_pool : domains:int -> (t -> 'a) -> 'a
 (** Scoped pool for tests and benchmarks: create, run [f], always

@@ -9,9 +9,8 @@
     deques and steal from the most loaded victim when empty.  Task side
     effects run exactly once, in schedule order, on the calling domain, so
     the simulation stays deterministic while the *makespan* — the number
-    the experiments publish — reflects parallel execution.  Whether the
-    side effects of a phase {e also} run on real domains is an orthogonal
-    choice made per phase through {!Domain_pool}.
+    the experiments publish — reflects parallel execution.  No GC phase
+    runs on real domains; {!Domain_pool} serves {!Par_sweep} only.
 
     Guarantees checked by the property tests:
     makespan >= max(total_work / threads, max_task_cost) and

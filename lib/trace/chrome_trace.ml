@@ -91,9 +91,3 @@ let to_json tracer =
     ]
 
 let to_string tracer = Json.to_string (to_json tracer)
-
-let write_file tracer path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Json.to_channel oc (to_json tracer))

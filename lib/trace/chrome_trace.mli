@@ -12,5 +12,3 @@
 val to_json : Tracer.t -> Json.t
 
 val to_string : Tracer.t -> string
-
-val write_file : Tracer.t -> string -> unit

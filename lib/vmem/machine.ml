@@ -32,14 +32,8 @@ type reclaim_iface = {
    serial float chain.  [hs_memo_enc] holds [(pages lsl 1) lor cached]
    (never 0, so 0 marks an empty slot).
 
-   Scratch is per-domain: each execution stream (keyed by its
-   Domain_slot) owns its own buffers and memo, so a pool worker can
-   never scribble over another stream's half-built run list.  Memo
-   contents only affect which computations are skipped, never their
-   results, so per-domain memos cannot perturb bit-identity either.
-
    [hs_copy_buf] is memmove's staging buffer, grown to the largest copy
-   the stream has made. *)
+   the machine has made. *)
 type hot_scratch = {
   hs_src_runs : Page_table.run_buf;
   hs_dst_runs : Page_table.run_buf;
@@ -62,7 +56,7 @@ type t = {
   mutable next_asid : int;
   mutable fault : Svagc_fault.Injector.t option;
   mutable reclaim : reclaim_iface option;
-  scratch : hot_scratch option array;
+  mutable scratch : hot_scratch option;
 }
 
 (* Observation hooks for the shadow oracle (svagc_check).  The vmem layer
@@ -91,7 +85,7 @@ let create ?ncores ?(phys_mib = 512) (cost : Cost_model.t) =
       next_asid = 1;
       fault = None;
       reclaim = None;
-      scratch = Array.make Svagc_util.Domain_slot.max_slots None;
+      scratch = None;
     }
   in
   (match !created_hook with None -> () | Some f -> f t);
@@ -102,8 +96,7 @@ let core t i =
   t.cores.(i)
 
 let hot_scratch t =
-  let slot = Svagc_util.Domain_slot.my_slot () in
-  match t.scratch.(slot) with
+  match t.scratch with
   | Some s -> s
   | None ->
     let s =
@@ -116,7 +109,7 @@ let hot_scratch t =
         hs_copy_buf = Bytes.empty;
       }
     in
-    t.scratch.(slot) <- Some s;
+    t.scratch <- Some s;
     s
 
 let fresh_asid t =

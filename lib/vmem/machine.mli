@@ -73,9 +73,8 @@ type t = {
   mutable reclaim : reclaim_iface option;
       (** The memory-pressure plane; [None] (the default) means unlimited
           physical memory.  Installed by [Fault_handler.attach]. *)
-  scratch : hot_scratch option array;
-      (** Lazily-built hot-path scratch, one slot per execution stream
-          (indexed by [Svagc_util.Domain_slot]); use {!hot_scratch}. *)
+  mutable scratch : hot_scratch option;
+      (** Lazily-built hot-path scratch; use {!hot_scratch}. *)
 }
 
 (** Machine-owned scratch for the flat SwapVA engine (reusable src/dst
@@ -99,12 +98,11 @@ val memo_slots : int
 (** Direct-mapped memo size (power of two). *)
 
 val hot_scratch : t -> hot_scratch
-(** The calling domain's scratch on this machine, created on first use.
-    Keyed by [Svagc_util.Domain_slot.my_slot]: two pool workers touching
-    the same machine get disjoint buffers and memos, so the flat SwapVA
-    engine's scratch is race-free by ownership rather than by locking.
-    Per-domain memos cannot perturb bit-identity — a memo only decides
-    whether a pure float chain is re-run or replayed exactly. *)
+(** The machine's scratch, created on first use.  There is one per
+    machine, unlocked, so it is safe only while one domain drives a
+    machine at a time — which holds: every GC phase runs on the calling
+    domain, and [Svagc_par.Par_sweep] shards only read the page table
+    through [Page_table.find_leaf] and never call this. *)
 
 val create : ?ncores:int -> ?phys_mib:int -> Cost_model.t -> t
 (** [ncores] defaults to the preset's core count; [phys_mib] defaults to

@@ -124,6 +124,42 @@ let test_adjust_rewrites_refs () =
   Alcotest.(check int) "ref points at b's forwarding address"
     b.Obj_model.forward a.Obj_model.refs.(0)
 
+(* Three rooted objects [a], [b], [c] with one ref slot each, plus [dead],
+   allocated after marking so it stays unmarked. *)
+let adjust_error_fixture () =
+  let heap = Helpers.heap () in
+  let mk () = Heap.alloc heap ~size:64 ~n_refs:1 ~cls:0 in
+  let a = mk () and b = mk () and c = mk () in
+  List.iter (Heap.add_root heap) [ a; b; c ];
+  ignore (Mark.run heap ~threads:1);
+  let dead = mk () in
+  (heap, a, b, c, dead)
+
+let adjust_raises heap ~live msg =
+  Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+      ignore (Adjust.run heap ~threads:4 ~live))
+
+let test_adjust_dead_ref () =
+  let heap, a, b, c, dead = adjust_error_fixture () in
+  Heap.set_ref heap b ~slot:0 (Some dead);
+  let dangling = c.Obj_model.addr + 8 in
+  c.Obj_model.refs.(0) <- dangling;
+  (* The first offender in [live] order is the one reported. *)
+  adjust_raises heap ~live:[ a; b; c ]
+    "Adjust.run: live object references a dead one";
+  adjust_raises heap ~live:[ a; c; b ]
+    (Printf.sprintf "Adjust.run: dangling reference 0x%x" dangling)
+
+let test_adjust_dangling_ref () =
+  let heap, a, b, c, _ = adjust_error_fixture () in
+  let dangling o = o.Obj_model.addr + 8 in
+  b.Obj_model.refs.(0) <- dangling b;
+  c.Obj_model.refs.(0) <- dangling c;
+  adjust_raises heap ~live:[ a; b; c ]
+    (Printf.sprintf "Adjust.run: dangling reference 0x%x" (dangling b));
+  adjust_raises heap ~live:[ c; b; a ]
+    (Printf.sprintf "Adjust.run: dangling reference 0x%x" (dangling c))
+
 (* --- Compact (memmove) --- *)
 
 let run_lisp2 ?(threads = 4) heap =
@@ -331,7 +367,12 @@ let () =
           Alcotest.test_case "destinations disjoint" `Quick test_forward_no_dest_overlap;
           Alcotest.test_case "waste bounded" `Quick test_forward_waste_bounded;
         ] );
-      ("adjust", [ Alcotest.test_case "rewrites refs" `Quick test_adjust_rewrites_refs ]);
+      ( "adjust",
+        [
+          Alcotest.test_case "rewrites refs" `Quick test_adjust_rewrites_refs;
+          Alcotest.test_case "dead ref" `Quick test_adjust_dead_ref;
+          Alcotest.test_case "dangling ref" `Quick test_adjust_dangling_ref;
+        ] );
       ( "compact",
         [
           Alcotest.test_case "preserves contents" `Quick test_compact_preserves_contents;
