@@ -276,6 +276,35 @@ let sched_identity case =
         (first_div 0 scan_order cal_order));
   (!items + scan_n, List.rev !findings)
 
+(* --- work-steal makespan: flat replay vs the deque executor --- *)
+
+module Work_steal = Svagc_par.Work_steal
+
+(* Few distinct cost values (zeros and repeats included) make clock ties,
+   and so the tie-breaks, common; [threads] may exceed the task count. *)
+let makespan_identity ~seed =
+  let rng = Rng.create ~seed in
+  let threads = 1 + Rng.int rng 16 in
+  let n = Rng.int rng 501 in
+  let costs = Array.init n (fun _ -> float_of_int (Rng.int rng 4) *. 2.5) in
+  let steal_ns = if Rng.bool rng then 0.0 else 1.0 +. float_of_int (Rng.int rng 8) in
+  let barrier_ns = float_of_int (Rng.int rng 3) in
+  let flat = Work_steal.makespan ~threads ~steal_ns ~barrier_ns costs in
+  let reference =
+    (Work_steal.run ~threads ~steal_ns ~barrier_ns ~cost:Fun.id ~execute:ignore
+       costs)
+      .Work_steal.makespan_ns
+  in
+  if Int64.bits_of_float flat = Int64.bits_of_float reference then (1, [])
+  else
+    ( 1,
+      [
+        mk "makespan-identity"
+          "seed=%d (%d threads, %d tasks, steal %g ns): flat makespan %h, \
+           Work_steal.run %h"
+          seed threads n steal_ns flat reference;
+      ] )
+
 (* --- host-parallelism identity: 1 domain vs N domains --- *)
 
 module Domain_pool = Svagc_par.Domain_pool
@@ -467,8 +496,9 @@ let run_suite ?(cases = 40) ?(seed = 0xC0FFEE) () =
     let n1, f1 = compare_case case in
     let n2, f2 = zero_fault_identity case in
     let n3, f3 = sched_identity (gen_sched_case ~seed:(seed + i) ()) in
-    items := !items + n1 + n2 + n3;
-    findings := !findings @ f1 @ f2 @ f3
+    let n4, f4 = makespan_identity ~seed:(seed + i) in
+    items := !items + n1 + n2 + n3 + n4;
+    findings := !findings @ f1 @ f2 @ f3 @ f4
   done;
   (* Host-parallelism identity is a full double GC per replay, so run a
      handful of seeds rather than one per case. *)

@@ -73,6 +73,11 @@ val sched_identity : sched_case -> int * Check.finding list
     [run_calendar]; the (proc, ns) firing sequences must be bit-identical
     (the calendar's FIFO tie-break contract). *)
 
+val makespan_identity : seed:int -> int * Check.finding list
+(** One random cost vector (1–16 threads, 0–500 tasks, many equal and
+    zero costs, [steal_ns] zero or positive): {!Svagc_par.Work_steal.makespan}
+    must equal [Work_steal.run]'s [makespan_ns] bit for bit. *)
+
 val par_identity : ?domains:int -> seed:int -> unit -> int * Check.finding list
 (** The host-parallelism oracle (DESIGN.md §13): replay one deterministic
     workload — two traced LISP2 GC cycles over a seeded object soup
@@ -89,5 +94,5 @@ val par_identity : ?domains:int -> seed:int -> unit -> int * Check.finding list
 
 val run_suite : ?cases:int -> ?seed:int -> unit -> int * Check.finding list
 (** [cases] generated schedules (default 40) through {!compare_case},
-    {!zero_fault_identity} and {!sched_identity}, plus a handful of
-    {!par_identity} replays; returns the combined (items, findings). *)
+    {!zero_fault_identity}, {!sched_identity} and {!makespan_identity},
+    plus a handful of {!par_identity} replays; returns the combined (items, findings). *)

@@ -160,5 +160,5 @@ let charge_app_mem t ~bytes =
   Clock.advance t.app_clock (float_of_int bytes /. bw);
   drain_reclaim_app t
 
-let gc_count t = List.length (Gc_intf.cycles t.collector)
+let gc_count t = Gc_intf.cycle_count t.collector
 let cycles t = Gc_intf.cycles t.collector

@@ -77,5 +77,6 @@ val total_ns : t -> float
 (** [app_ns + gc_ns] — the run's wall-clock. *)
 
 val gc_count : t -> int
+(** Collections run so far, in O(1) (drive loops call it once per step). *)
 
 val cycles : t -> Svagc_gc.Gc_stats.cycle list

@@ -25,6 +25,8 @@ let collect t =
 
 let cycles t = Vec.to_list t.history
 
+let cycle_count t = Vec.length t.history
+
 let summary t = Gc_stats.summarize (cycles t)
 
 let reset_history t = Vec.clear t.history

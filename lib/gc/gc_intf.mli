@@ -15,7 +15,11 @@ val collect : t -> Gc_stats.cycle
     perf counters. *)
 
 val cycles : t -> Gc_stats.cycle list
-(** Oldest first. *)
+(** Oldest first.  Builds a fresh list of the whole history on every
+    call; use {!cycle_count} to count. *)
+
+val cycle_count : t -> int
+(** [List.length (cycles t)] in O(1), without building the list. *)
 
 val summary : t -> Gc_stats.summary
 

@@ -2,6 +2,91 @@ open Svagc_vmem
 module Process = Svagc_kernel.Process
 module Vec = Svagc_util.Vec
 
+(* The address index: open addressing with linear probing over flat
+   [int] keys, a multiplicative hash, backward-shift deletion and load at
+   most 1/2.  It is never iterated (only find, replace, remove and
+   clear), so its slot layout cannot reach any output.  It starts at 16
+   slots: every fleet tenant owns a heap, most of them tiny. *)
+module Index = struct
+  type t = {
+    mutable keys : int array;  (* [empty] marks a free slot *)
+    mutable vals : Obj_model.t array;
+    mutable bits : int;
+    mutable count : int;
+  }
+
+  let empty = -1
+
+  let none = Obj_model.make ~id:0 ~addr:0 ~size:Obj_model.header_bytes ~cls:0 ~n_refs:0
+
+  let init_bits = 4
+
+  let create () =
+    let cap = 1 lsl init_bits in
+    { keys = Array.make cap empty; vals = Array.make cap none; bits = init_bits;
+      count = 0 }
+
+  (* Fibonacci hashing: the top [bits] bits of the product. *)
+  let home t key = (key * 0x4F1BBCDCBFA53E0B) lsr (Sys.int_size - t.bits)
+
+  let rec slot_of t key i =
+    let k = Array.unsafe_get t.keys i in
+    if k = key || k = empty then i
+    else slot_of t key ((i + 1) land (Array.length t.keys - 1))
+
+  let find_opt t key =
+    let i = slot_of t key (home t key) in
+    if key <> empty && Array.unsafe_get t.keys i = key then
+      Some (Array.unsafe_get t.vals i)
+    else None
+
+  let rec replace t key v =
+    let i = slot_of t key (home t key) in
+    if t.keys.(i) = key then t.vals.(i) <- v
+    else if 2 * (t.count + 1) > Array.length t.keys then begin
+      let keys = t.keys and vals = t.vals in
+      t.bits <- t.bits + 1;
+      t.keys <- Array.make (1 lsl t.bits) empty;
+      t.vals <- Array.make (1 lsl t.bits) none;
+      t.count <- 0;
+      Array.iteri (fun j k -> if k <> empty then replace t k vals.(j)) keys;
+      replace t key v
+    end
+    else begin
+      t.keys.(i) <- key;
+      t.vals.(i) <- v;
+      t.count <- t.count + 1
+    end
+
+  (* Backward-shift deletion: walk the probe run after the hole and pull
+     back every entry whose home does not lie strictly between the hole
+     and its slot, so no tombstones are needed. *)
+  let remove t key =
+    let mask = Array.length t.keys - 1 in
+    let hole = ref (slot_of t key (home t key)) in
+    if t.keys.(!hole) = key then begin
+      let j = ref ((!hole + 1) land mask) in
+      while t.keys.(!j) <> empty do
+        let k = t.keys.(!j) in
+        if (!j - home t k) land mask >= (!j - !hole) land mask then begin
+          t.keys.(!hole) <- k;
+          t.vals.(!hole) <- t.vals.(!j);
+          hole := !j
+        end;
+        j := (!j + 1) land mask
+      done;
+      t.keys.(!hole) <- empty;
+      t.vals.(!hole) <- none;
+      t.count <- t.count - 1
+    end
+
+  (* Keeps the capacity: the next rebuild refills about as many entries. *)
+  let clear t =
+    Array.fill t.keys 0 (Array.length t.keys) empty;
+    Array.fill t.vals 0 (Array.length t.vals) none;
+    t.count <- 0
+end
+
 type t = {
   proc : Process.t;
   base : int;
@@ -11,7 +96,7 @@ type t = {
   threshold_pages : int;
   stamp_headers : bool;
   objects : Obj_model.t Vec.t;
-  by_addr : (int, Obj_model.t) Hashtbl.t;
+  by_addr : Index.t;
   roots : (int, Obj_model.t) Hashtbl.t;  (* keyed by object id *)
   mutable next_id : int;
   mutable waste : int;
@@ -35,7 +120,7 @@ let create proc ?(base = default_base) ?(threshold_pages = 10)
     threshold_pages;
     stamp_headers;
     objects = Vec.create ();
-    by_addr = Hashtbl.create 1024;
+    by_addr = Index.create ();
     roots = Hashtbl.create 64;
     next_id = 1;
     waste = 0;
@@ -88,7 +173,7 @@ let header_matches t obj =
 
 let register t obj =
   Vec.push t.objects obj;
-  Hashtbl.replace t.by_addr obj.Obj_model.addr obj;
+  Index.replace t.by_addr obj.Obj_model.addr obj;
   (perf t).Perf.alloc_bytes <- (perf t).Perf.alloc_bytes + obj.Obj_model.size;
   stamp_header t obj
 
@@ -137,23 +222,53 @@ let alloc_at t ~addr ~size ~n_refs ~cls =
 
 let objects t = t.objects
 
-let sort_objects t =
-  Vec.sort (fun a b -> compare a.Obj_model.addr b.Obj_model.addr) t.objects
+let compare_addr a b = Int.compare a.Obj_model.addr b.Obj_model.addr
 
-let object_at t addr = Hashtbl.find_opt t.by_addr addr
+(* After a compaction [objects] is an address-sorted survivor prefix
+   followed by the allocations made since: sort only that suffix, then
+   append it or merge it in from the back.  Addresses are pairwise
+   distinct (objects never overlap), so the result is the one any
+   correct sort gives. *)
+let sort_objects t =
+  let v = t.objects in
+  let n = Vec.length v in
+  let addr i = (Vec.get v i).Obj_model.addr in
+  let p = ref 1 in
+  while !p < n && addr (!p - 1) < addr !p do
+    incr p
+  done;
+  if !p < n then begin
+    let p = !p in
+    let suffix = Array.init (n - p) (fun i -> Vec.get v (p + i)) in
+    Array.stable_sort compare_addr suffix;
+    let i = ref (p - 1) and j = ref (n - p - 1) and k = ref (n - 1) in
+    while !j >= 0 do
+      if !i >= 0 && addr !i > suffix.(!j).Obj_model.addr then begin
+        Vec.set v !k (Vec.get v !i);
+        decr i
+      end
+      else begin
+        Vec.set v !k suffix.(!j);
+        decr j
+      end;
+      decr k
+    done
+  end
+
+let object_at t addr = Index.find_opt t.by_addr addr
 
 let rebuild_index t =
-  Hashtbl.reset t.by_addr;
-  Vec.iter (fun o -> Hashtbl.replace t.by_addr o.Obj_model.addr o) t.objects
+  Index.clear t.by_addr;
+  Vec.iter (fun o -> Index.replace t.by_addr o.Obj_model.addr o) t.objects
 
 let adopt t obj =
   if obj.Obj_model.addr < t.base || Obj_model.end_addr obj > t.limit then
     invalid_arg "Heap.adopt: object range outside this heap";
   Vec.push t.objects obj;
-  Hashtbl.replace t.by_addr obj.Obj_model.addr obj
+  Index.replace t.by_addr obj.Obj_model.addr obj
 
 let evict t obj =
-  Hashtbl.remove t.by_addr obj.Obj_model.addr;
+  Index.remove t.by_addr obj.Obj_model.addr;
   Hashtbl.remove t.roots obj.Obj_model.id;
   (* One in-place compaction pass; an object registered twice (impossible
      via [adopt]/[alloc]) would only lose its first slot. *)
@@ -161,7 +276,7 @@ let evict t obj =
 
 let reset t =
   Vec.clear t.objects;
-  Hashtbl.reset t.by_addr;
+  Index.clear t.by_addr;
   Hashtbl.reset t.roots;
   t.top <- t.base
 

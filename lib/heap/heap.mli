@@ -86,13 +86,22 @@ val objects : t -> Obj_model.t Svagc_util.Vec.t
     {!sort_objects}. *)
 
 val sort_objects : t -> unit
+(** Sort {!objects} by address.  Finds the longest address-sorted prefix
+    (after a compaction: the survivors), sorts only the rest (the
+    allocations made since) and appends it, or merges it in when it
+    reaches below the prefix.  Addresses are pairwise distinct (objects
+    never overlap; {!audit} checks it), so the order is the one any
+    correct sort gives. *)
 
 val object_at : t -> int -> Obj_model.t option
-(** Lookup by current address. *)
+(** Lookup by current address, through a private open-addressing index
+    (linear probing, backward-shift deletion, load at most 1/2).  The
+    index is never iterated, so its layout cannot reach any output; it
+    starts at 16 slots, since every fleet tenant owns a heap. *)
 
 val rebuild_index : t -> unit
 (** Recompute the address index after the GC has moved objects and pruned
-    the dead ones. *)
+    the dead ones.  Clears the index in place, keeping its capacity. *)
 
 val add_root : t -> Obj_model.t -> unit
 

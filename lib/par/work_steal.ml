@@ -97,8 +97,42 @@ let run ~threads ~steal_ns ~barrier_ns ~cost ~execute items =
     makespan_ns = (if n = 0 then 0.0 else makespan +. barrier_ns);
   }
 
+(* The same schedule as [run], replayed over flat arrays.  Tasks are only
+   seeded, never spawned, so worker [w]'s deque is always the strided
+   slice of task indices [w + k * threads] for [k] in
+   [\[front.(w), back.(w))]: a local pop takes [back - 1], a steal takes
+   [front].  While tasks remain some deque holds them, so the acting
+   worker always finds one and [run]'s retirement branch never fires.
+   The same picks in the same order perform the same float additions, so
+   the result equals [run]'s bit for bit (test_par and [Differential]
+   check it). *)
 let makespan ~threads ~steal_ns ~barrier_ns costs =
-  let st =
-    run ~threads ~steal_ns ~barrier_ns ~cost:(fun c -> c) ~execute:ignore costs
-  in
-  st.makespan_ns
+  if threads <= 0 then invalid_arg "Work_steal.makespan: threads must be positive";
+  let n = Array.length costs in
+  let clock = Array.make threads 0.0 in
+  let front = Array.make threads 0 in
+  let back = Array.init threads (fun w -> if w < n then ((n - w - 1) / threads) + 1 else 0) in
+  for _ = 1 to n do
+    (* Lowest-clock worker acts next, ties to the lowest index. *)
+    let i = ref 0 in
+    for w = 1 to threads - 1 do
+      if clock.(w) < clock.(!i) then i := w
+    done;
+    let i = !i in
+    if back.(i) > front.(i) then begin
+      back.(i) <- back.(i) - 1;
+      clock.(i) <- clock.(i) +. costs.(i + (back.(i) * threads))
+    end
+    else begin
+      (* Steal from the head of the longest deque, ties to the lowest index. *)
+      let v = ref 0 in
+      for w = 1 to threads - 1 do
+        if back.(w) - front.(w) > back.(!v) - front.(!v) then v := w
+      done;
+      let v = !v in
+      clock.(i) <- clock.(i) +. steal_ns;
+      clock.(i) <- clock.(i) +. costs.(v + (front.(v) * threads));
+      front.(v) <- front.(v) + 1
+    end
+  done;
+  if n = 0 then 0.0 else Array.fold_left Float.max 0.0 clock +. barrier_ns

@@ -38,4 +38,11 @@ val run :
 
 val makespan :
   threads:int -> steal_ns:float -> barrier_ns:float -> float array -> float
-(** Cost-only convenience wrapper. *)
+(** [(run ~cost:Fun.id ~execute:ignore costs).makespan_ns], bit for bit,
+    without allocating per task.  Every GC phase prices itself through
+    this.  It is a flat replay of {!run}'s schedule over float clocks
+    and int cursors: tasks are only seeded, so worker [w]'s deque is
+    always a strided slice [w + k * threads] of the task indices.
+    {!run} stays the executable reference; [test_par] and
+    [Differential.makespan_identity] compare the two.
+    @raise Invalid_argument when [threads <= 0]. *)

@@ -121,18 +121,47 @@ let write_u8 t ~va v =
   Bytes.set (Phys_mem.frame_bytes t.machine.Machine.phys frame) off
     (Char.chr (v land 0xff))
 
+(* An 8-byte access that stays inside one page reads or writes the frame
+   in place, through the same single [frame_of_exn] the chunked path would
+   make; one that straddles a page boundary takes the chunked path. *)
+let in_one_page va = Addr.page_offset va <= Addr.page_size - 8
+
 let read_i64 t ~va =
-  let b = read_bytes t ~va ~len:8 in
-  Bytes.get_int64_le b 0
+  if in_one_page va then begin
+    let frame, off = frame_of_exn t va in
+    Bytes.get_int64_le (Phys_mem.frame_bytes t.machine.Machine.phys frame) off
+  end
+  else Bytes.get_int64_le (read_bytes t ~va ~len:8) 0
 
 let write_i64 t ~va v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  write_bytes t ~va ~src:b
+  if in_one_page va then begin
+    let frame, off = frame_of_exn t va in
+    Bytes.set_int64_le (Phys_mem.frame_bytes t.machine.Machine.phys frame) off v
+  end
+  else begin
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    write_bytes t ~va ~src:b
+  end
 
 let fill t ~va ~len c =
   iter_chunks t ~va ~len (fun ~frame ~off ~chunk ~at:_ ->
       Bytes.fill (Phys_mem.frame_bytes t.machine.Machine.phys frame) off chunk c)
+
+(* The payload of [va]'s page, without faulting. *)
+let peek_payload t va =
+  let pte = Page_table.get_pte t.pt va in
+  if Pte.is_present pte then
+    Phys_mem.frame_contents t.machine.Machine.phys (Pte.frame_exn pte)
+  else if Pte.is_swapped pte then begin
+    match t.machine.Machine.reclaim with
+    | Some r -> r.Machine.ri_slot_bytes ~slot:(Pte.swap_slot_exn pte)
+    | None ->
+      invalid_arg
+        (Format.asprintf
+           "Address_space: swapped address %a with no reclaim plane" Addr.pp va)
+  end
+  else invalid_arg (Format.asprintf "Address_space: unmapped address %a" Addr.pp va)
 
 (* Non-faulting page-chunk iteration: [f] receives the page's payload as
    [Some bytes] (read at [off]) or [None] for a logically-zero page.  Used
@@ -145,24 +174,7 @@ let iter_chunks_peek t ~va ~len f =
   while !remaining > 0 do
     let off = Addr.page_offset !pos in
     let chunk = min !remaining (Addr.page_size - off) in
-    let pte = Page_table.get_pte t.pt !pos in
-    let payload =
-      if Pte.is_present pte then
-        Phys_mem.frame_contents t.machine.Machine.phys (Pte.frame_exn pte)
-      else if Pte.is_swapped pte then begin
-        match t.machine.Machine.reclaim with
-        | Some r -> r.Machine.ri_slot_bytes ~slot:(Pte.swap_slot_exn pte)
-        | None ->
-          invalid_arg
-            (Format.asprintf
-               "Address_space: swapped address %a with no reclaim plane"
-               Addr.pp !pos)
-      end
-      else
-        invalid_arg
-          (Format.asprintf "Address_space: unmapped address %a" Addr.pp !pos)
-    in
-    f ~payload ~off ~chunk ~at:!consumed;
+    f ~payload:(peek_payload t !pos) ~off ~chunk ~at:!consumed;
     pos := !pos + chunk;
     consumed := !consumed + chunk;
     remaining := !remaining - chunk
@@ -177,8 +189,11 @@ let peek_bytes t ~va ~len =
   out
 
 let peek_i64 t ~va =
-  let b = peek_bytes t ~va ~len:8 in
-  Bytes.get_int64_le b 0
+  if in_one_page va then
+    match peek_payload t va with
+    | Some b -> Bytes.get_int64_le b (Addr.page_offset va)
+    | None -> 0L
+  else Bytes.get_int64_le (peek_bytes t ~va ~len:8) 0
 
 let checksum t ~va ~len =
   let h = ref 0xcbf29ce484222325L in

@@ -135,6 +135,145 @@ let test_object_at_index () =
   Alcotest.(check bool) "new addr found" true
     (Heap.object_at heap a.Obj_model.addr <> None)
 
+(* The open-addressing index against a [Hashtbl] model: random alloc /
+   alloc_at / adopt / evict / reset / rebuild sequences, checking
+   [object_at] on every address ever used after every step.  Hundreds of
+   keys in a table that starts at 16 slots exercise growth and deletion
+   inside collision runs. *)
+let prop_index_matches_model =
+  qtest ~count:200 "object_at agrees with a Hashtbl model"
+    QCheck.(list_of_size Gen.(1 -- 300) (pair (int_range 0 9) (int_range 0 1_000_000)))
+    (fun ops ->
+      let heap = fresh_heap () in
+      let model = Hashtbl.create 16 in
+      let used = Hashtbl.create 16 in
+      let next_id = ref 1_000_000 in
+      let add o =
+        Hashtbl.replace model o.Obj_model.addr o;
+        Hashtbl.replace used o.Obj_model.addr ()
+      in
+      (* Externally placed objects live on a 16-byte grid 1 MiB above the
+         base, out of reach of the bump allocator. *)
+      let fresh_addr r =
+        let rec pick k =
+          let a = Heap.base heap + (1024 * kib) + (16 * (k mod 16384)) in
+          if Hashtbl.mem model a then pick (k + 1) else a
+        in
+        pick r
+      in
+      let objects () = Svagc_util.Vec.to_list (Heap.objects heap) in
+      let step (op, r) =
+        match op with
+        | 0 | 1 | 2 -> add (Heap.alloc heap ~size:(16 + (r mod 200)) ~n_refs:0 ~cls:0)
+        | 3 -> add (Heap.alloc_at heap ~addr:(fresh_addr r) ~size:16 ~n_refs:0 ~cls:0)
+        | 4 ->
+          incr next_id;
+          let o =
+            Obj_model.make ~id:!next_id ~addr:(fresh_addr r) ~size:16 ~cls:0 ~n_refs:0
+          in
+          Heap.adopt heap o;
+          add o
+        | 5 | 6 -> (
+          match objects () with
+          | [] -> ()
+          | objs ->
+            let o = List.nth objs (r mod List.length objs) in
+            Heap.evict heap o;
+            Hashtbl.remove model o.Obj_model.addr)
+        | 7 ->
+          Heap.reset heap;
+          Hashtbl.reset model
+        | _ ->
+          (* Move some objects, then rebuild. *)
+          List.iteri
+            (fun i o ->
+              if (r + i) mod 3 = 0 then begin
+                Hashtbl.remove model o.Obj_model.addr;
+                o.Obj_model.addr <- fresh_addr (r + (7 * i));
+                add o
+              end)
+            (objects ());
+          Heap.rebuild_index heap
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          Hashtbl.fold
+            (fun a () ok ->
+              ok
+              &&
+              match (Heap.object_at heap a, Hashtbl.find_opt model a) with
+              | None, None -> true
+              | Some o, Some m -> o == m
+              | _ -> false)
+            used true)
+        ops)
+
+(* [sort_objects] against [List.sort] by address: a bump-allocated sorted
+   prefix, then [alloc_at] objects above it or reaching below it in a
+   shuffled order. *)
+let sorted_by_addr heap =
+  List.sort
+    (fun a b -> compare a.Obj_model.addr b.Obj_model.addr)
+    (Svagc_util.Vec.to_list (Heap.objects heap))
+
+let check_sort name heap =
+  let expected = sorted_by_addr heap in
+  Heap.sort_objects heap;
+  Alcotest.(check (list int)) name
+    (List.map (fun o -> o.Obj_model.id) expected)
+    (List.map (fun o -> o.Obj_model.id) (Svagc_util.Vec.to_list (Heap.objects heap)))
+
+let test_sort_objects () =
+  let shuffled_at heap addrs =
+    List.iter
+      (fun addr -> ignore (Heap.alloc_at heap ~addr ~size:64 ~n_refs:0 ~cls:0))
+      addrs
+  in
+  let heap = fresh_heap () in
+  check_sort "empty" heap;
+  ignore (Heap.alloc heap ~size:64 ~n_refs:0 ~cls:0);
+  check_sort "singleton" heap;
+  for _ = 1 to 20 do
+    ignore (Heap.alloc heap ~size:64 ~n_refs:0 ~cls:0)
+  done;
+  check_sort "already sorted" heap;
+  (* Suffix above the prefix (a TLAB chunk filled out of order). *)
+  let chunk = Heap.alloc_chunk heap ~bytes:(64 * kib) in
+  shuffled_at heap (List.map (fun k -> chunk + (64 * k)) [ 5; 2; 9; 0; 7; 1 ]);
+  check_sort "suffix above prefix" heap;
+  (* Suffix reaching below the prefix: the merge path. *)
+  let heap2 = fresh_heap () in
+  for _ = 1 to 10 do
+    ignore (Heap.alloc heap2 ~size:128 ~n_refs:0 ~cls:0)
+  done;
+  let base = Heap.base heap2 and top = Heap.top heap2 in
+  shuffled_at heap2 [ top + 640; base + 64; top + 64; base + 1216 ];
+  check_sort "suffix below prefix (merge)" heap2;
+  check_sort "sorted again" heap2
+
+let prop_sort_objects =
+  qtest ~count:200 "sort_objects = List.sort by address"
+    QCheck.(pair (int_range 0 40) (list_of_size Gen.(0 -- 60) (int_range 0 4095)))
+    (fun (prefix, slots) ->
+      let heap = fresh_heap () in
+      for _ = 1 to prefix do
+        ignore (Heap.alloc heap ~size:48 ~n_refs:0 ~cls:0)
+      done;
+      let seen = Hashtbl.create 16 in
+      List.iter
+        (fun k ->
+          if not (Hashtbl.mem seen k) then begin
+            Hashtbl.add seen k ();
+            (* 4096 16-byte slots interleave the bump-allocated prefix. *)
+            let addr = Heap.base heap + (16 * k) + 8 in
+            ignore (Heap.alloc_at heap ~addr ~size:16 ~n_refs:0 ~cls:0)
+          end)
+        slots;
+      let expected = sorted_by_addr heap in
+      Heap.sort_objects heap;
+      List.for_all2 ( == ) expected (Svagc_util.Vec.to_list (Heap.objects heap)))
+
 (* --- Payload IO --- *)
 
 let test_payload_roundtrip () =
@@ -404,6 +543,9 @@ let () =
           Alcotest.test_case "roots" `Quick test_roots;
           Alcotest.test_case "refs" `Quick test_refs;
           Alcotest.test_case "address index" `Quick test_object_at_index;
+          prop_index_matches_model;
+          Alcotest.test_case "sort_objects cases" `Quick test_sort_objects;
+          prop_sort_objects;
         ] );
       ( "payload",
         [

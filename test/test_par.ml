@@ -98,6 +98,41 @@ let prop_total_work_preserved =
       Float.abs (st.Work_steal.total_work_ns -. List.fold_left ( +. ) 0.0 costs)
       < 1e-6)
 
+(* [makespan] is a flat replay of [run]'s schedule: the two must agree to
+   the bit.  Small task counts (threads > n), zero and repeated costs
+   (clock ties) and both zero and positive steal costs are drawn often. *)
+let arb_makespan_case =
+  let open QCheck.Gen in
+  let cost =
+    frequency
+      [
+        (1, return 0.0);
+        (2, map float_of_int (int_range 1 4));
+        (2, float_range 0.0 100.0);
+      ]
+  in
+  let n = frequency [ (1, int_range 0 20); (2, int_range 0 500) ] in
+  QCheck.make
+    ~print:(fun (threads, costs, steal_ns, barrier_ns) ->
+      Printf.sprintf "threads=%d steal_ns=%g barrier_ns=%g costs=[%s]" threads
+        steal_ns barrier_ns
+        (String.concat "; " (List.map string_of_float (Array.to_list costs))))
+    (quad (int_range 1 16)
+       (n >>= fun n -> array_size (return n) cost)
+       (oneofl [ 0.0; 0.7; 3.0 ])
+       (oneofl [ 0.0; 5.0 ]))
+
+let prop_makespan_matches_run =
+  qtest ~count:1000 "makespan = run's makespan_ns, bit for bit"
+    arb_makespan_case
+    (fun (threads, costs, steal_ns, barrier_ns) ->
+      let reference =
+        Work_steal.run ~threads ~steal_ns ~barrier_ns ~cost:Fun.id
+          ~execute:ignore costs
+      in
+      Int64.bits_of_float (Work_steal.makespan ~threads ~steal_ns ~barrier_ns costs)
+      = Int64.bits_of_float reference.Work_steal.makespan_ns)
+
 (* --- Deque --- *)
 
 module Deque = Svagc_par.Deque
@@ -346,6 +381,7 @@ let () =
           prop_makespan_lower_bounds;
           prop_makespan_upper_bound;
           prop_total_work_preserved;
+          prop_makespan_matches_run;
         ] );
       ( "domain_pool",
         [

@@ -423,11 +423,24 @@ let test_as_checksum_sensitivity () =
 
 let test_as_i64_roundtrip () =
   let aspace = Address_space.create (machine ()) in
-  Address_space.map_range aspace ~va:4096 ~pages:2;
+  Address_space.map_range aspace ~va:4096 ~pages:3;
   (* Straddle the page boundary on purpose. *)
   Address_space.write_i64 aspace ~va:8190 0x1122334455667788L;
   Alcotest.(check int64) "i64 roundtrip" 0x1122334455667788L
-    (Address_space.read_i64 aspace ~va:8190)
+    (Address_space.read_i64 aspace ~va:8190);
+  Alcotest.(check int64) "straddling peek" 0x1122334455667788L
+    (Address_space.peek_i64 aspace ~va:8190);
+  (* Inside one page (the last whole slot of the first page): the in-place
+     path must lay the bytes out little-endian, as the chunked one does. *)
+  Address_space.write_i64 aspace ~va:8184 0x0807060504030201L;
+  Alcotest.(check string) "little-endian bytes" "\001\002\003\004\005\006\007\008"
+    (Bytes.to_string (Address_space.read_bytes aspace ~va:8184 ~len:8));
+  Alcotest.(check int64) "in-page read" 0x0807060504030201L
+    (Address_space.read_i64 aspace ~va:8184);
+  Alcotest.(check int64) "in-page peek" 0x0807060504030201L
+    (Address_space.peek_i64 aspace ~va:8184);
+  Alcotest.(check int64) "peek of a never-written page is zero" 0L
+    (Address_space.peek_i64 aspace ~va:(12288 + 64))
 
 let test_as_touch_counts () =
   let m = machine () in
