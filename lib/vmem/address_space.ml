@@ -242,8 +242,10 @@ let touch t ~core ~va =
    it — so they are credited in bulk with [Tlb.repeat_hits], which leaves
    exactly the state k - 1 back-to-back hits leave.  Their reclaim
    notifications are dropped because [ri_page_touched] only sets the
-   page's referenced bit, which the first line already set.  LLC accesses
-   stay one per line, in address order. *)
+   page's referenced bit, which the first line already set.  The page's
+   LLC accesses go through one [Cache_sim.access_range] call: [pa] is
+   line-aligned, so it covers exactly those k lines, one access per line
+   in address order. *)
 let touch_range t ~core ~va ~len =
   if len > 0 then begin
     let tlb = (Machine.core t.machine core).Machine.tlb in
@@ -259,9 +261,7 @@ let touch_range t ~core ~va ~len =
       let frame = tlb_frame t tlb ~va:page_va in
       Tlb.repeat_hits tlb ~asid:t.asid ~vpn ~n:(lines - 1);
       let pa = (frame * Addr.page_size) + Addr.page_offset page_va in
-      for k = 0 to lines - 1 do
-        Cache_sim.access llc ~addr:(pa + (k * line))
-      done;
+      Cache_sim.access_range llc ~addr:pa ~len:(page_stop - page_va);
       pos := page_va + (lines * line)
     done
   end

@@ -18,12 +18,16 @@ val create : ?size_bytes:int -> ?line_bytes:int -> ?ways:int -> unit -> t
     is a positive multiple of [line_bytes * ways]. *)
 
 val access : t -> addr:int -> unit
-(** Touch one physical address (one line): a hit refreshes the line's
-    recency; a miss fills the set's first invalid way, else its least
-    recently used one. *)
+(** Touch one physical address (one line), with exact LRU semantics: a hit
+    makes the line its set's most recently used; a miss fills an invalid
+    way while the set has one, else evicts the least recently used line.
+    O(ways) per call; the fill itself is O(1). *)
 
 val access_range : t -> addr:int -> len:int -> unit
-(** Touch every line in [\[addr, addr+len)]. *)
+(** Touch every line in [\[addr, addr+len)], one {!access} per line in
+    address order, as one batched loop that updates {!stats} once per
+    call.  The hits, misses and final state equal those of the per-line
+    {!access} calls. *)
 
 val stats : t -> stats
 

@@ -1,10 +1,11 @@
 (* Test-only executable references for the LLC and TLB models: the
    straightforward array-of-arrays implementations the flat
    [Svagc_vmem.Cache_sim] and [Svagc_vmem.Tlb] must agree with call for
-   call.  Every access scans every way, with no early exit, and picks its
-   victim in a separate pass, so nothing here relies on the invariants the
-   flat models exploit (unique tags per set, invalid ways forming a
-   suffix).  Kept deliberately unoptimized. *)
+   call.  Every access scans every way, with no early exit, keeps an
+   explicit recency stamp per way and picks its victim in a separate pass,
+   so nothing here relies on the invariants the flat models exploit (tags
+   unique per set and the LLC's recency-ring order; an [(asid, vpn)] pair
+   resident at most once in the TLB).  Kept deliberately unoptimized. *)
 
 module Cache = struct
   type t = {

@@ -2,8 +2,10 @@
    array-of-arrays references in [Ref_models]: random streams over small
    geometries (so sets collide, ways evict and flushes leave holes) must
    give the same result from every call and the same stats, occupancy and
-   valid-entry sequence.  Then the page-batched [Address_space.touch_range]
-   against a per-line [touch] loop, with the reclaim plane off and on. *)
+   valid-entry sequence.  The LLC is also driven by hit-heavy streams and
+   through the batched [Cache_sim.access_range].  Then the page-batched
+   [Address_space.touch_range] against a per-line [touch] loop, with the
+   reclaim plane off and on. *)
 
 open Svagc_vmem
 module Fault_handler = Svagc_kernel.Fault_handler
@@ -15,35 +17,102 @@ let fail fmt = Format.kasprintf QCheck.Test.fail_report fmt
 
 (* --- Cache_sim --- *)
 
-(* (log2 line bytes, ways, log2 sets) and a stream of raw addresses.  The
-   addresses are folded into three cache capacities so every set sees
-   more distinct lines than it has ways; bit 0 of the raw value moves the
-   address far up to exercise large tags. *)
+(* (log2 line bytes, ways, log2 sets): 16 to 128-byte lines, 1 to 16 ways
+   (the default 16, and non-powers of two such as 3, 5 and 12), 1 to 8
+   sets. *)
+let cache_geometry = QCheck.(triple (int_range 4 7) (int_range 1 16) (int_range 0 3))
+
+let cache_pair (lshift, ways, sshift) =
+  let line_bytes = 1 lsl lshift and n_sets = 1 lsl sshift in
+  let size_bytes = line_bytes * ways * n_sets in
+  ( Cache_sim.create ~size_bytes ~line_bytes ~ways (),
+    Ref_models.Cache.create ~size_bytes ~line_bytes ~ways,
+    size_bytes )
+
+let cache_stats_agree flat reference =
+  let st = Cache_sim.stats flat in
+  st.Cache_sim.accesses = reference.Ref_models.Cache.accesses
+  && st.Cache_sim.misses = reference.Ref_models.Cache.misses
+
+(* Feeds [addrs] to both models one access at a time and checks every
+   hit/miss, then the stats. *)
+let cache_stream_agrees flat reference addrs =
+  List.iteri
+    (fun k addr ->
+      let misses = (Cache_sim.stats flat).Cache_sim.misses in
+      Cache_sim.access flat ~addr;
+      let flat_hit = (Cache_sim.stats flat).Cache_sim.misses = misses in
+      let ref_hit = Ref_models.Cache.access reference ~addr in
+      if flat_hit <> ref_hit then
+        fail "access %d (addr %d): flat hit=%b, reference hit=%b" k addr
+          flat_hit ref_hit)
+    addrs;
+  cache_stats_agree flat reference
+
+(* A stream of raw addresses, folded into three cache capacities so every
+   set sees more distinct lines than it has ways; bit 0 of the raw value
+   moves the address far up to exercise large tags. *)
 let prop_cache_matches_reference =
   qtest "cache_sim: every access and the stats match the reference"
+    QCheck.(pair cache_geometry (list_of_size Gen.(0 -- 400) (int_bound 1_000_000)))
+    (fun (geometry, raw) ->
+      let flat, reference, size_bytes = cache_pair geometry in
+      cache_stream_agrees flat reference
+        (List.map (fun r -> (r mod (3 * size_bytes)) + ((r land 1) lsl 40)) raw))
+
+(* Each set cycles through a working set of ways - 1, ways or ways + 1
+   distinct lines, picked at random: most accesses hit, at every recency
+   depth, and with ways + 1 lines the misses evict and the ring wraps. *)
+let prop_cache_hit_heavy =
+  qtest "cache_sim: hit-heavy working sets match the reference"
     QCheck.(
-      pair
-        (triple (int_range 4 7) (int_range 1 4) (int_range 0 3))
-        (list_of_size Gen.(0 -- 400) (int_bound 1_000_000)))
-    (fun ((lshift, ways, sshift), raw) ->
-      let line_bytes = 1 lsl lshift and n_sets = 1 lsl sshift in
-      let size_bytes = line_bytes * ways * n_sets in
-      let flat = Cache_sim.create ~size_bytes ~line_bytes ~ways () in
-      let reference = Ref_models.Cache.create ~size_bytes ~line_bytes ~ways in
+      triple cache_geometry (int_range (-1) 1)
+        (list_of_size Gen.(0 -- 600) (int_bound 1_000_000)))
+    (fun (((lshift, ways, sshift) as geometry), extra, raw) ->
+      let flat, reference, _ = cache_pair geometry in
+      let n_sets = 1 lsl sshift and lines = max 1 (ways + extra) in
+      cache_stream_agrees flat reference
+        (List.map
+           (fun r ->
+             let set = r mod n_sets and tag = r / n_sets mod lines in
+             (((tag * n_sets) + set) lsl lshift) + (r land ((1 lsl lshift) - 1)))
+           raw))
+
+(* Random [(addr, len)] ranges: each [access_range] must add one access
+   per line and as many misses as the reference's per-line accesses, and
+   the final stats must agree. *)
+let prop_cache_access_range =
+  qtest "cache_sim: access_range matches per-line reference accesses"
+    QCheck.(
+      pair cache_geometry
+        (list_of_size Gen.(0 -- 60) (pair (int_bound 1_000_000) (int_bound 600))))
+    (fun (((lshift, _, _) as geometry), ranges) ->
+      let flat, reference, size_bytes = cache_pair geometry in
       List.iteri
-        (fun k r ->
-          let addr = (r mod (3 * size_bytes)) + ((r land 1) lsl 40) in
-          let misses = (Cache_sim.stats flat).Cache_sim.misses in
-          Cache_sim.access flat ~addr;
-          let flat_hit = (Cache_sim.stats flat).Cache_sim.misses = misses in
-          let ref_hit = Ref_models.Cache.access reference ~addr in
-          if flat_hit <> ref_hit then
-            fail "access %d (addr %d): flat hit=%b, reference hit=%b" k addr
-              flat_hit ref_hit)
-        raw;
-      let st = Cache_sim.stats flat in
-      st.Cache_sim.accesses = reference.Ref_models.Cache.accesses
-      && st.Cache_sim.misses = reference.Ref_models.Cache.misses)
+        (fun k (r, len) ->
+          let addr = r mod (3 * size_bytes) in
+          let st = Cache_sim.stats flat in
+          let accesses = st.Cache_sim.accesses and misses = st.Cache_sim.misses in
+          Cache_sim.access_range flat ~addr ~len;
+          let lines = ref 0 and ref_misses = ref 0 in
+          if len > 0 then
+            for line = addr lsr lshift to (addr + len - 1) lsr lshift do
+              incr lines;
+              if not (Ref_models.Cache.access reference ~addr:(line lsl lshift)) then
+                incr ref_misses
+            done;
+          let st = Cache_sim.stats flat in
+          if
+            st.Cache_sim.accesses - accesses <> !lines
+            || st.Cache_sim.misses - misses <> !ref_misses
+          then
+            fail "range %d (addr %d, len %d): flat %d accesses/%d misses, reference %d/%d"
+              k addr len
+              (st.Cache_sim.accesses - accesses)
+              (st.Cache_sim.misses - misses)
+              !lines !ref_misses)
+        ranges;
+      cache_stats_agree flat reference)
 
 (* --- Tlb --- *)
 
@@ -219,7 +288,8 @@ let prop_touch_range_matches_per_line ~pressured =
 let () =
   Alcotest.run "models"
     [
-      ("cache_sim reference", [ prop_cache_matches_reference ]);
+      ( "cache_sim reference",
+        [ prop_cache_matches_reference; prop_cache_hit_heavy; prop_cache_access_range ] );
       ( "tlb reference",
         [
           prop_tlb_matches_reference;
