@@ -18,18 +18,10 @@ let move ?measure_core ?(cold = false) aspace ~src ~dst ~len =
   let machine = Address_space.machine aspace in
   if len = 0 then 0.0
   else begin
-    (* A page-chunked in-place copy would need direction analysis for
-       overlap; staging through a buffer gives memmove semantics simply and
-       the simulated cost is charged analytically anyway.  The buffer is
-       the machine's reusable one.  Every source chunk is read before any
-       destination chunk is written, so under reclaim the demand faults and
-       evictions happen in source-then-destination order. *)
-    let scratch = Machine.hot_scratch machine in
-    if Bytes.length scratch.Machine.hs_copy_buf < len then
-      scratch.Machine.hs_copy_buf <- Bytes.create len;
-    let buf = scratch.Machine.hs_copy_buf in
-    Address_space.read_into aspace ~va:src ~len buf;
-    Address_space.write_from aspace ~va:dst ~src:buf ~len;
+    (* The bytes move through the address space's staged copy (memmove
+       semantics, source-then-destination fault order, zero pages kept
+       unbacked); the simulated cost is charged analytically in [len]. *)
+    Address_space.copy aspace ~src ~dst ~len;
     machine.Machine.perf.Perf.memmove_calls <-
       machine.Machine.perf.Perf.memmove_calls + 1;
     machine.Machine.perf.Perf.bytes_copied <-

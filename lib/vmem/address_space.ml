@@ -58,20 +58,22 @@ let translate t ~va = Page_table.translate t.pt va
 (* Demand paging lives here: any access that needs the backing frame of a
    swapped-out page routes through the pressure plane's fault handler,
    which swaps the page back in (possibly evicting others) and leaves the
-   PTE present — so the recursive retry terminates after one fault. *)
-let rec frame_of_exn t va =
+   PTE present — so the recursive retry terminates after one fault.
+   Returns the frame only (the offset is [Addr.page_offset va]), so the
+   per-page paths allocate nothing. *)
+let rec frame_exn t va =
   let pte = Page_table.get_pte t.pt va in
   if Pte.is_present pte then begin
     (match t.machine.Machine.reclaim with
     | None -> ()
     | Some r -> r.Machine.ri_page_touched ~asid:t.asid ~va);
-    (Pte.frame_exn pte, Addr.page_offset va)
+    Pte.frame_exn pte
   end
   else if Pte.is_swapped pte then begin
     match t.machine.Machine.reclaim with
     | Some r ->
       r.Machine.ri_fault_in ~pt:t.pt ~asid:t.asid ~va;
-      frame_of_exn t va
+      frame_exn t va
     | None ->
       invalid_arg
         (Format.asprintf
@@ -86,7 +88,8 @@ let iter_chunks t ~va ~len f =
   let remaining = ref len in
   let consumed = ref 0 in
   while !remaining > 0 do
-    let frame, off = frame_of_exn t !pos in
+    let frame = frame_exn t !pos in
+    let off = Addr.page_offset !pos in
     let chunk = min !remaining (Addr.page_size - off) in
     f ~frame ~off ~chunk ~at:!consumed;
     pos := !pos + chunk;
@@ -94,49 +97,51 @@ let iter_chunks t ~va ~len f =
     remaining := !remaining - chunk
   done
 
-let read_into t ~va ~len dst =
-  if len > Bytes.length dst then invalid_arg "Address_space.read_into: buffer too short";
-  iter_chunks t ~va ~len (fun ~frame ~off ~chunk ~at ->
-      let src = Phys_mem.frame_bytes t.machine.Machine.phys frame in
-      Bytes.blit src off dst at chunk)
-
+(* Reads test [Phys_mem.is_zeroed] first: a lazy zero page reads as
+   zeroes and stays unbacked.  Only writes materialize a frame. *)
 let read_bytes t ~va ~len =
   let out = Bytes.create len in
-  read_into t ~va ~len out;
+  let phys = t.machine.Machine.phys in
+  iter_chunks t ~va ~len (fun ~frame ~off ~chunk ~at ->
+      if Phys_mem.is_zeroed phys frame then Bytes.fill out at chunk '\000'
+      else Bytes.blit (Phys_mem.frame_bytes phys frame) off out at chunk);
   out
 
-let write_from t ~va ~src ~len =
-  if len > Bytes.length src then invalid_arg "Address_space.write_from: buffer too short";
-  iter_chunks t ~va ~len (fun ~frame ~off ~chunk ~at ->
-      Phys_mem.write t.machine.Machine.phys ~frame ~off ~src ~src_off:at ~len:chunk)
-
-let write_bytes t ~va ~src = write_from t ~va ~src ~len:(Bytes.length src)
+let write_bytes t ~va ~src =
+  let phys = t.machine.Machine.phys in
+  iter_chunks t ~va ~len:(Bytes.length src) (fun ~frame ~off ~chunk ~at ->
+      Phys_mem.write phys ~frame ~off ~src ~src_off:at ~len:chunk)
 
 let read_u8 t ~va =
-  let frame, off = frame_of_exn t va in
-  Char.code (Bytes.get (Phys_mem.frame_bytes t.machine.Machine.phys frame) off)
+  let phys = t.machine.Machine.phys in
+  let frame = frame_exn t va in
+  if Phys_mem.is_zeroed phys frame then 0
+  else Char.code (Bytes.get (Phys_mem.frame_bytes phys frame) (Addr.page_offset va))
 
 let write_u8 t ~va v =
-  let frame, off = frame_of_exn t va in
-  Bytes.set (Phys_mem.frame_bytes t.machine.Machine.phys frame) off
+  let frame = frame_exn t va in
+  Bytes.set (Phys_mem.frame_bytes t.machine.Machine.phys frame) (Addr.page_offset va)
     (Char.chr (v land 0xff))
 
 (* An 8-byte access that stays inside one page reads or writes the frame
-   in place, through the same single [frame_of_exn] the chunked path would
+   in place, through the same single [frame_exn] the chunked path would
    make; one that straddles a page boundary takes the chunked path. *)
 let in_one_page va = Addr.page_offset va <= Addr.page_size - 8
 
 let read_i64 t ~va =
   if in_one_page va then begin
-    let frame, off = frame_of_exn t va in
-    Bytes.get_int64_le (Phys_mem.frame_bytes t.machine.Machine.phys frame) off
+    let phys = t.machine.Machine.phys in
+    let frame = frame_exn t va in
+    if Phys_mem.is_zeroed phys frame then 0L
+    else Bytes.get_int64_le (Phys_mem.frame_bytes phys frame) (Addr.page_offset va)
   end
   else Bytes.get_int64_le (read_bytes t ~va ~len:8) 0
 
 let write_i64 t ~va v =
   if in_one_page va then begin
-    let frame, off = frame_of_exn t va in
-    Bytes.set_int64_le (Phys_mem.frame_bytes t.machine.Machine.phys frame) off v
+    let frame = frame_exn t va in
+    Bytes.set_int64_le (Phys_mem.frame_bytes t.machine.Machine.phys frame)
+      (Addr.page_offset va) v
   end
   else begin
     let b = Bytes.create 8 in
@@ -147,6 +152,83 @@ let write_i64 t ~va v =
 let fill t ~va ~len c =
   iter_chunks t ~va ~len (fun ~frame ~off ~chunk ~at:_ ->
       Bytes.fill (Phys_mem.frame_bytes t.machine.Machine.phys frame) off chunk c)
+
+(* The staged copy behind memmove: every source chunk is staged before any
+   destination chunk is written, which gives memmove semantics for any
+   overlap, and [frame_exn] runs on every source page and then every
+   destination page, in address order — so under reclaim the demand
+   faults, LRU touches and evictions are exactly those of a plain
+   read-then-write copy.
+
+   Zero pages stay zero.  Phase 1 flags a source chunk on a lazy zero
+   frame instead of staging it, and never materializes it.  In phase 2 a
+   destination chunk whose source pages (at most two: a chunk is at most
+   a page) are all flagged needs no copy: a whole page becomes a lazy
+   zero page again, and a partial chunk on a lazy zero frame is already
+   zeroes.  Any other chunk is written per source page: zeroes where the
+   page is flagged, staged bytes elsewhere — so the staging buffer is
+   never read where phase 1 skipped it.  Flags are per source page
+   because an unaligned destination page straddles two of them.  The
+   loops are written out (no closure, no tuple per chunk), so a call
+   whose scratch is already large enough allocates nothing. *)
+let copy t ~src ~dst ~len =
+  if len < 0 then invalid_arg "Address_space.copy: negative length";
+  if len > 0 then begin
+    let phys = t.machine.Machine.phys in
+    let scratch = Machine.hot_scratch t.machine in
+    let src_off = Addr.page_offset src in
+    if Bytes.length scratch.Machine.hs_copy_buf < len then
+      scratch.Machine.hs_copy_buf <- Bytes.create len;
+    let src_pages = Addr.pages_spanned (src_off + len) in
+    if Bytes.length scratch.Machine.hs_zero_pages < src_pages then
+      scratch.Machine.hs_zero_pages <- Bytes.create src_pages;
+    let buf = scratch.Machine.hs_copy_buf in
+    let zero = scratch.Machine.hs_zero_pages in
+    let at = ref 0 in
+    while !at < len do
+      let va = src + !at in
+      let frame = frame_exn t va in
+      let off = Addr.page_offset va in
+      let chunk = min (len - !at) (Addr.page_size - off) in
+      let page = (src_off + !at) lsr Addr.page_shift in
+      if Phys_mem.is_zeroed phys frame then Bytes.unsafe_set zero page '\001'
+      else begin
+        Bytes.unsafe_set zero page '\000';
+        Bytes.blit (Phys_mem.frame_bytes phys frame) off buf !at chunk
+      end;
+      at := !at + chunk
+    done;
+    at := 0;
+    while !at < len do
+      let va = dst + !at in
+      let frame = frame_exn t va in
+      let off = Addr.page_offset va in
+      let chunk = min (len - !at) (Addr.page_size - off) in
+      let stop = !at + chunk in
+      let first = (src_off + !at) lsr Addr.page_shift in
+      let last = (src_off + stop - 1) lsr Addr.page_shift in
+      let staged_zero =
+        Bytes.unsafe_get zero first = '\001' && Bytes.unsafe_get zero last = '\001'
+      in
+      if staged_zero && chunk = Addr.page_size then Phys_mem.zero_frame phys frame
+      else if not (staged_zero && Phys_mem.is_zeroed phys frame) then begin
+        (* One segment per source page under the chunk: zeroes for a
+           flagged page, staged bytes otherwise. *)
+        let bytes = Phys_mem.frame_bytes phys frame in
+        let seg = ref !at in
+        while !seg < stop do
+          let page = (src_off + !seg) lsr Addr.page_shift in
+          let seg_stop = min stop (((page + 1) lsl Addr.page_shift) - src_off) in
+          let pos = off + (!seg - !at) in
+          if Bytes.unsafe_get zero page = '\001' then
+            Bytes.fill bytes pos (seg_stop - !seg) '\000'
+          else Bytes.blit buf !seg bytes pos (seg_stop - !seg);
+          seg := seg_stop
+        done
+      end;
+      at := stop
+    done
+  end
 
 (* The payload of [va]'s page, without faulting. *)
 let peek_payload t va =
@@ -213,7 +295,7 @@ let checksum t ~va ~len =
 
 (* The frame behind [va]'s page through [tlb]: a hit marks the page
    referenced for reclaim; a miss demand-faults a swapped page back in
-   (frame_of_exn runs the fault handler, and marks the page referenced)
+   (frame_exn runs the fault handler, and marks the page referenced)
    and refills the TLB.  Swap-out scrubs the page from every TLB, so a
    hit always means present. *)
 let tlb_frame t tlb ~va =
@@ -226,7 +308,7 @@ let tlb_frame t tlb ~va =
     frame
   end
   else begin
-    let frame, _off = frame_of_exn t va in
+    let frame = frame_exn t va in
     Tlb.insert tlb ~asid:t.asid ~vpn ~frame;
     frame
   end

@@ -39,7 +39,9 @@ val translate : t -> va:int -> (int * int) option
 val read_bytes : t -> va:int -> len:int -> bytes
 (** @raise Invalid_argument if any page in the range is unmapped.  Like
     every frame-resolving accessor, demand-faults swapped pages back in
-    through the machine's reclaim plane. *)
+    through the machine's reclaim plane.  Reads ({!read_bytes},
+    {!read_u8}, {!read_i64}) see a lazy zero page as zeroes without
+    materializing it; only writes materialize a frame. *)
 
 val peek_bytes : t -> va:int -> len:int -> bytes
 (** Non-faulting read: present pages are read in place, swapped pages are
@@ -51,15 +53,27 @@ val peek_bytes : t -> va:int -> len:int -> bytes
 val peek_i64 : t -> va:int -> int64
 (** Non-faulting little-endian 64-bit read (see {!peek_bytes}). *)
 
-val read_into : t -> va:int -> len:int -> bytes -> unit
-(** {!read_bytes} into the first [len] bytes of a caller-owned buffer.
-    @raise Invalid_argument if the buffer is shorter than [len]. *)
-
 val write_bytes : t -> va:int -> src:bytes -> unit
 
-val write_from : t -> va:int -> src:bytes -> len:int -> unit
-(** {!write_bytes} of the first [len] bytes of [src].
-    @raise Invalid_argument if [src] is shorter than [len]. *)
+val copy : t -> src:int -> dst:int -> len:int -> unit
+(** Copy [len] bytes from [src] to [dst] with C [memmove] semantics (any
+    overlap), staged through the machine's scratch buffer: every source
+    page is resolved and staged, then every destination page is resolved
+    and written, each in address order.  That is the fault order of a
+    plain read-then-write copy, so under reclaim the demand faults, LRU
+    touches and evictions are the same.
+
+    Zero pages stay zero: a source page on a lazy zero frame is flagged
+    rather than staged, and is never materialized; a whole destination
+    page whose bytes come only from flagged source pages becomes a lazy
+    zero page ({!Phys_mem.zero_frame}), and a partial destination chunk
+    of such bytes on a lazy zero frame is left alone.  Every other
+    destination chunk is written: zeroes for flagged source pages, staged
+    bytes for the rest.  Performs no cost accounting (see
+    [Svagc_kernel.Memmove.move]); allocates nothing once the scratch has
+    grown to the copy's size.
+    @raise Invalid_argument if [len] is negative or a page in either range
+    is unmapped. *)
 
 val read_u8 : t -> va:int -> int
 

@@ -33,7 +33,8 @@ type reclaim_iface = {
    (never 0, so 0 marks an empty slot).
 
    [hs_copy_buf] is memmove's staging buffer, grown to the largest copy
-   the machine has made. *)
+   the machine has made, and [hs_zero_pages] its per-source-page zero
+   flags, grown to the most source pages one copy has spanned. *)
 type hot_scratch = {
   hs_src_runs : Page_table.run_buf;
   hs_dst_runs : Page_table.run_buf;
@@ -41,6 +42,7 @@ type hot_scratch = {
   hs_memo_enc : int array;
   hs_memo_out : float array;
   mutable hs_copy_buf : Bytes.t;
+  mutable hs_zero_pages : Bytes.t;
 }
 
 let memo_slots = 8192
@@ -107,6 +109,7 @@ let hot_scratch t =
         hs_memo_enc = Array.make memo_slots 0;
         hs_memo_out = Array.make memo_slots 0.0;
         hs_copy_buf = Bytes.empty;
+        hs_zero_pages = Bytes.empty;
       }
     in
     t.scratch <- Some s;

@@ -79,11 +79,12 @@ type t = {
 
 (** Machine-owned scratch for the flat SwapVA engine (reusable src/dst
     run buffers plus a direct-mapped memo for the bulk steady-state PTE
-    charge) and for memmove (a reusable staging buffer).  The memo key
-    is (exact accumulated-cost float, page count, cached flag) and the
-    stored value is the exact float the reference loop produced for that
-    key, so hits are bit-identical by construction — the memo only skips
-    re-running a pure deterministic serial float chain. *)
+    charge) and for memmove (a reusable staging buffer and its zero-page
+    flags).  The memo key is (exact accumulated-cost float, page count,
+    cached flag) and the stored value is the exact float the reference
+    loop produced for that key, so hits are bit-identical by
+    construction — the memo only skips re-running a pure deterministic
+    serial float chain. *)
 and hot_scratch = {
   hs_src_runs : Page_table.run_buf;
   hs_dst_runs : Page_table.run_buf;
@@ -92,6 +93,10 @@ and hot_scratch = {
   hs_memo_out : float array;
   mutable hs_copy_buf : Bytes.t;
       (** Memmove's staging buffer, grown to the largest copy so far. *)
+  mutable hs_zero_pages : Bytes.t;
+      (** One byte per source page of the copy being staged: ['\001']
+          when that page's frame is a lazy zero page.  Grown like
+          [hs_copy_buf]; see [Address_space.copy]. *)
 }
 
 val memo_slots : int

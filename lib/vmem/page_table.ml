@@ -46,33 +46,39 @@ let make_leaf () =
 
 let create () = { root = Array.make Addr.entries_per_table None }
 
-let indices va =
-  (Addr.pgd_index va, Addr.p4d_index va, Addr.pud_index va, Addr.pmd_index va)
+(* Sentinels for a walk that stops short: an all-[None] directory and an
+   all-[Pte.none] leaf (which also fills a run buffer's unused slots).
+   Neither is ever written through: [get_pte] of every unmapped address
+   reads [no_leaf]. *)
+let no_dir : node option array = Array.make Addr.entries_per_table None
+let no_leaf = make_leaf ()
+
+(* The PMD directory covering [va] (or [no_dir]), then the leaf (or
+   [no_leaf]).  Nested matches over sentinels instead of an index tuple
+   and an option per level: the descent allocates nothing. *)
+let pmd_dir t va =
+  match Array.unsafe_get t.root (Addr.pgd_index va) with
+  | Some (Dir p4d) -> (
+    match Array.unsafe_get p4d (Addr.p4d_index va) with
+    | Some (Dir pud) -> (
+      match Array.unsafe_get pud (Addr.pud_index va) with
+      | Some (Dir pmd) -> pmd
+      | Some (Leaf _) | None -> no_dir)
+    | Some (Leaf _) | None -> no_dir)
+  | Some (Leaf _) | None -> no_dir
+
+let leaf_at t va =
+  match Array.unsafe_get (pmd_dir t va) (Addr.pmd_index va) with
+  | Some (Leaf leaf) -> leaf
+  | Some (Dir _) | None -> no_leaf
 
 let find_leaf_record t va =
-  let i_pgd, i_p4d, i_pud, i_pmd = indices va in
-  let step slot =
-    match slot with
-    | Some (Dir entries) -> Some entries
-    | Some (Leaf _) | None -> None
-  in
-  match step t.root.(i_pgd) with
-  | None -> None
-  | Some p4d -> (
-    match step p4d.(i_p4d) with
-    | None -> None
-    | Some pud -> (
-      match step pud.(i_pud) with
-      | None -> None
-      | Some pmd -> (
-        match pmd.(i_pmd) with
-        | Some (Leaf leaf) -> Some leaf
-        | Some (Dir _) | None -> None)))
+  let leaf = leaf_at t va in
+  if leaf == no_leaf then None else Some leaf
 
 let find_leaf t va =
-  match find_leaf_record t va with
-  | Some leaf -> Some leaf.ptes
-  | None -> None
+  let leaf = leaf_at t va in
+  if leaf == no_leaf then None else Some leaf.ptes
 
 let ensure_dir slot_get slot_set =
   match slot_get () with
@@ -84,7 +90,8 @@ let ensure_dir slot_get slot_set =
     entries
 
 let ensure_leaf_record t va =
-  let i_pgd, i_p4d, i_pud, i_pmd = indices va in
+  let i_pgd = Addr.pgd_index va and i_p4d = Addr.p4d_index va in
+  let i_pud = Addr.pud_index va and i_pmd = Addr.pmd_index va in
   let p4d =
     ensure_dir (fun () -> t.root.(i_pgd)) (fun n -> t.root.(i_pgd) <- Some n)
   in
@@ -104,10 +111,7 @@ let ensure_leaf_record t va =
 
 let ensure_leaf t va = (ensure_leaf_record t va).ptes
 
-let get_pte t va =
-  match find_leaf_record t va with
-  | None -> Pte.none
-  | Some leaf -> leaf.ptes.(Addr.pte_index va)
+let get_pte t va = Array.unsafe_get (leaf_at t va).ptes (Addr.pte_index va)
 
 let leaf_mapped_count leaf = leaf.mapped_count
 let leaf_ptes leaf = leaf.ptes
@@ -174,21 +178,8 @@ let swap_pte_runs leaf_a ~start_a leaf_b ~start_b ~len =
   done
 
 let pmd_slot t va =
-  let i_pgd, i_p4d, i_pud, i_pmd = indices va in
-  let step slot =
-    match slot with
-    | Some (Dir entries) -> Some entries
-    | Some (Leaf _) | None -> None
-  in
-  match step t.root.(i_pgd) with
-  | None -> None
-  | Some p4d -> (
-    match step p4d.(i_p4d) with
-    | None -> None
-    | Some pud -> (
-      match step pud.(i_pud) with
-      | None -> None
-      | Some pmd -> Some (pmd, i_pmd)))
+  let pmd = pmd_dir t va in
+  if pmd == no_dir then None else Some (pmd, Addr.pmd_index va)
 
 let swap_pmd_entries t va_a va_b =
   let aligned va = Addr.pte_index va = 0 && Addr.page_offset va = 0 in
@@ -233,11 +224,8 @@ type run_buf = {
   mutable rb_n : int;
 }
 
-(* Shared placeholder for unused slots; never written through. *)
-let dummy_leaf = make_leaf ()
-
 let run_buf_create () =
-  { rb_leaves = Array.make 8 dummy_leaf; rb_pack = Array.make 8 0; rb_n = 0 }
+  { rb_leaves = Array.make 8 no_leaf; rb_pack = Array.make 8 0; rb_n = 0 }
 
 let run_buf_length buf = buf.rb_n
 
@@ -256,7 +244,7 @@ let run_buf_push buf leaf ~start ~len =
   let n = buf.rb_n in
   if n = Array.length buf.rb_pack then begin
     let cap' = 2 * n in
-    let leaves = Array.make cap' dummy_leaf in
+    let leaves = Array.make cap' no_leaf in
     Array.blit buf.rb_leaves 0 leaves 0 n;
     buf.rb_leaves <- leaves;
     let pack = Array.make cap' 0 in

@@ -20,7 +20,8 @@ val create : unit -> t
 
 val find_leaf : t -> int -> Pte.value array option
 (** [find_leaf t va] is the PTE leaf table covering [va], if the directory
-    path exists.  Performs no allocation. *)
+    path exists.  The descent allocates nothing; only the [Some] result
+    is allocated. *)
 
 val find_leaf_record : t -> int -> leaf option
 (** Like {!find_leaf} but returning the leaf with its presence bitset. *)
@@ -40,7 +41,7 @@ val ensure_leaf : t -> int -> Pte.value array
 (** Like {!find_leaf} but materializes the directory path on demand. *)
 
 val get_pte : t -> int -> Pte.value
-(** [Pte.none] when unmapped. *)
+(** [Pte.none] when unmapped.  Performs no allocation. *)
 
 val swap_pte_runs :
   Pte.value array -> start_a:int -> Pte.value array -> start_b:int -> len:int ->

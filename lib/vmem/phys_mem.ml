@@ -78,6 +78,19 @@ let frame_contents t frame =
   | Zeroed -> None
   | Data b -> Some b
 
+let is_zeroed t frame =
+  match t.frames.(frame) with
+  | Free -> invalid_arg "Phys_mem.is_zeroed: frame not in use"
+  | Zeroed -> true
+  | Data _ -> false
+
+(* Dropping the payload is the whole operation: a [Zeroed] frame reads as
+   zeroes, so a page the copy path knows to be all zeroes needs no bytes. *)
+let zero_frame t frame =
+  match t.frames.(frame) with
+  | Free -> invalid_arg "Phys_mem.zero_frame: frame not in use"
+  | Zeroed | Data _ -> t.frames.(frame) <- Zeroed
+
 let frame_bytes t frame =
   if frame < 0 || frame >= Array.length t.frames then
     invalid_arg "Phys_mem.frame_bytes: no such frame";

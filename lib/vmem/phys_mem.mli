@@ -36,8 +36,24 @@ val install : t -> int -> bytes option -> unit
     @raise Invalid_argument if the frame is not in use, already has
     materialized contents, or the payload is not [page_size] long. *)
 
+val is_zeroed : t -> int -> bool
+(** [frame_contents t frame = None], without allocating the option: the
+    test the address space's reads and copy make before {!frame_bytes},
+    so that reading never materializes a frame.
+    @raise Invalid_argument if the frame is not in use. *)
+
+val zero_frame : t -> int -> unit
+(** Make a frame in use logically all zeroes again, dropping its backing
+    store (if any) so it becomes a lazy zero page.  Memmove uses it for a
+    whole destination page whose staged source is all zeroes.
+    @raise Invalid_argument if the frame is not in use. *)
+
 val frame_bytes : t -> int -> bytes
-(** Direct view of a frame's backing store (always [page_size] long).
+(** Direct view of a frame's backing store (always [page_size] long),
+    materializing a lazy zero page.  Only writes need that: the address
+    space reads a frame through this only after {!is_zeroed} says it is
+    backed, so reading never materializes a frame.  ({!read}, {!write}
+    and {!blit} below go through it.)
     @raise Invalid_argument if the frame is not in use. *)
 
 val frame_contents : t -> int -> bytes option

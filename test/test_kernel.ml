@@ -68,6 +68,110 @@ let prop_memmove_matches_bytes_blit =
       Bytes.blit model src_off model dst_off len;
       Bytes.equal model (Address_space.read_bytes aspace ~va:base ~len:8192))
 
+(* --- Memmove's staged copy against a plain Bytes model --- *)
+
+(* Each page of an 8-page window starts never written (a lazy zero
+   page), written, or written with zeroes (a materialized page of
+   zeroes).  A few moves follow, each with a page-aligned or unaligned
+   [src] and [dst] anywhere in the window — so they overlap in either
+   direction — and a length that may cross several pages, with reclaim
+   off or capped at three resident frames.  The window must read back,
+   without faulting, exactly as the model does. *)
+let staged_pages = 8
+
+let staged_window = staged_pages * Addr.page_size
+
+let gen_staged_case =
+  let open QCheck.Gen in
+  let addr =
+    map3
+      (fun page aligned off -> (page * Addr.page_size) + if aligned then 0 else off)
+      (int_bound (staged_pages - 1)) bool (int_range 1 (Addr.page_size - 1))
+  in
+  let move =
+    map3
+      (fun src dst len -> (src, dst, max 1 (min len (staged_window - max src dst))))
+      addr addr
+      (int_range 1 ((3 * Addr.page_size) + 100))
+  in
+  triple bool
+    (list_repeat staged_pages (int_bound 2))
+    (list_size (int_range 1 3) move)
+
+let print_staged_case (reclaim, kinds, moves) =
+  Printf.sprintf "reclaim=%b kinds=[%s] moves=[%s]" reclaim
+    (String.concat ";" (List.map string_of_int kinds))
+    (String.concat ";"
+       (List.map (fun (s, d, l) -> Printf.sprintf "%d->%d:%d" s d l) moves))
+
+let prop_memmove_matches_model =
+  qtest ~count:300 "memmove agrees with a Bytes model over zero pages"
+    (QCheck.make ~print:print_staged_case gen_staged_case)
+    (fun (reclaim, kinds, moves) ->
+      let machine = Machine.create ~ncores:4 ~phys_mib:64 Cost_model.xeon_6130 in
+      if reclaim then
+        ignore (Svagc_kernel.Fault_handler.attach machine ~limit_frames:3 ());
+      let aspace = Process.aspace (Process.create machine) in
+      Address_space.map_range aspace ~va:base ~pages:staged_pages;
+      let model = Bytes.make staged_window '\000' in
+      List.iteri
+        (fun p kind ->
+          let at = p * Addr.page_size in
+          match kind with
+          | 0 -> ()
+          | 1 ->
+            let page =
+              Bytes.init Addr.page_size (fun i -> Char.chr (1 + (((p * 7) + (i * 13)) mod 255)))
+            in
+            Address_space.write_bytes aspace ~va:(base + at) ~src:page;
+            Bytes.blit page 0 model at Addr.page_size
+          | _ ->
+            Address_space.write_bytes aspace ~va:(base + at)
+              ~src:(Bytes.make Addr.page_size '\000'))
+        kinds;
+      List.iter
+        (fun (src, dst, len) ->
+          ignore (Memmove.move aspace ~src:(base + src) ~dst:(base + dst) ~len);
+          Bytes.blit model src model dst len)
+        moves;
+      Bytes.equal model (Address_space.peek_bytes aspace ~va:base ~len:staged_window))
+
+(* Host-allocation law: moving never-written pages neither materializes
+   the source nor leaves the destination backed, and once the machine's
+   staging scratch has grown, the move allocates nothing page-sized.
+   Materializing even one side would add 513 major-heap words (a 4 KiB
+   [Bytes] plus its header) per page. *)
+let test_memmove_zero_pages_stay_unbacked () =
+  let pages = 256 in
+  let machine, proc = fresh () in
+  let aspace = Process.aspace proc in
+  let len = pages * Addr.page_size in
+  let warm = base and src = base + len and dst = base + (2 * len) in
+  Address_space.map_range aspace ~va:base ~pages:(3 * pages);
+  for i = 0 to pages - 1 do
+    Address_space.write_u8 aspace ~va:(dst + (i * Addr.page_size) + 9) 0xab
+  done;
+  ignore (Memmove.move aspace ~src:warm ~dst:warm ~len);
+  Gc.minor ();
+  let words0 = (Gc.quick_stat ()).Gc.major_words in
+  ignore (Memmove.move aspace ~src ~dst ~len);
+  Gc.minor ();
+  let grown = (Gc.quick_stat ()).Gc.major_words -. words0 in
+  let unbacked va =
+    match Address_space.translate aspace ~va with
+    | Some (frame, _) -> Phys_mem.frame_contents machine.Machine.phys frame = None
+    | None -> false
+  in
+  for i = 0 to pages - 1 do
+    let off = i * Addr.page_size in
+    if not (unbacked (src + off)) then Alcotest.failf "source page %d materialized" i;
+    if not (unbacked (dst + off)) then Alcotest.failf "destination page %d still backed" i
+  done;
+  if grown >= float_of_int (pages * 64) then
+    Alcotest.failf "moving %d zero pages grew the major heap by %.0f words" pages grown;
+  Alcotest.(check bool) "destination reads as zeroes" true
+    (Bytes.equal (Bytes.make len '\000') (Address_space.peek_bytes aspace ~va:dst ~len))
+
 let test_memmove_cost_scales () =
   let machine, _ = fresh () in
   let small = Memmove.cost_ns machine ~len:4096 in
@@ -618,6 +722,9 @@ let () =
           Alcotest.test_case "cost scales" `Quick test_memmove_cost_scales;
           Alcotest.test_case "cold tier" `Quick test_memmove_cold_slower;
           prop_memmove_matches_bytes_blit;
+          prop_memmove_matches_model;
+          Alcotest.test_case "zero pages stay unbacked" `Quick
+            test_memmove_zero_pages_stay_unbacked;
         ] );
       ( "swapva",
         [

@@ -147,6 +147,39 @@ let test_memmove_faults_in () =
     (perf.Perf.major_faults > faults0);
   Alcotest.(check bool) "swap-ins happened" true (perf.Perf.pages_swapped_in > 0)
 
+(* A frame [Phys_mem.zero_frame] dropped is a lazy zero page: it swaps
+   out as [None] and faults back in as zeroes, still unbacked. *)
+let test_zeroed_frame_swaps_as_zero_page () =
+  let machine = Machine.create ~ncores:4 ~phys_mib:64 Cost_model.xeon_6130 in
+  let r = Fault_handler.attach machine ~limit_frames:4 () in
+  let aspace = Process.aspace (Process.create machine) in
+  let phys = machine.Machine.phys in
+  Address_space.map_range aspace ~va:base ~pages:1;
+  Address_space.write_bytes aspace ~va:base ~src:(Bytes.make Addr.page_size 'z');
+  let frame_of va =
+    match Address_space.translate aspace ~va with
+    | Some (frame, _) -> frame
+    | None -> Alcotest.fail "page not present"
+  in
+  Phys_mem.zero_frame phys (frame_of base);
+  (* Touch enough other pages to push the zeroed one out. *)
+  Address_space.map_range aspace ~va:(base + Addr.page_size) ~pages:8;
+  for i = 1 to 8 do
+    Address_space.write_u8 aspace ~va:(base + (i * Addr.page_size)) i
+  done;
+  let pte = Page_table.get_pte (Address_space.page_table aspace) base in
+  Alcotest.(check bool) "zeroed page swapped out" true (Pte.is_swapped pte);
+  Alcotest.(check bool) "its slot holds no payload" true
+    (Reclaim.slot_bytes r ~slot:(Pte.swap_slot_exn pte) = None);
+  let faults0 = machine.Machine.perf.Perf.major_faults in
+  Alcotest.(check string) "faults back in as zeroes"
+    (String.make Addr.page_size '\000')
+    (Bytes.to_string (Address_space.read_bytes aspace ~va:base ~len:Addr.page_size));
+  Alcotest.(check int) "one major fault" (faults0 + 1)
+    machine.Machine.perf.Perf.major_faults;
+  Alcotest.(check bool) "and is still unbacked" true
+    (Phys_mem.frame_contents phys (frame_of base) = None)
+
 (* --- GC under pressure --- *)
 
 let pressured_gc_run ?fault_spec ?(residency = 0.5) () =
@@ -379,6 +412,8 @@ let () =
             test_swapva_slot_exchange_no_faults;
           Alcotest.test_case "memmove faults both sides in" `Quick
             test_memmove_faults_in;
+          Alcotest.test_case "zeroed frame swaps as a zero page" `Quick
+            test_zeroed_frame_swaps_as_zero_page;
         ] );
       ( "gc_under_pressure",
         [

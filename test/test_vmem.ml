@@ -128,6 +128,24 @@ let test_phys_release_install () =
   Alcotest.(check bool) "installed without a copy" true
     (Phys_mem.frame_bytes pm h == payload)
 
+let test_phys_zero_frame () =
+  let pm = Phys_mem.create ~frames:2 in
+  let f = Phys_mem.alloc_frame pm in
+  Phys_mem.write pm ~frame:f ~off:7 ~src:(Bytes.of_string "data") ~src_off:0
+    ~len:4;
+  Phys_mem.zero_frame pm f;
+  Alcotest.(check bool) "a written frame drops its payload" true
+    (Phys_mem.frame_contents pm f = None);
+  Phys_mem.zero_frame pm f;
+  Alcotest.(check bool) "a lazy zero page stays one" true
+    (Phys_mem.frame_contents pm f = None);
+  Alcotest.(check string) "and reads as zeroes" "\000\000\000\000"
+    (Bytes.to_string (Phys_mem.read pm ~frame:f ~off:7 ~len:4));
+  Phys_mem.free_frame pm f;
+  Alcotest.check_raises "free frame"
+    (Invalid_argument "Phys_mem.zero_frame: frame not in use") (fun () ->
+      Phys_mem.zero_frame pm f)
+
 let test_phys_range_check () =
   let pm = Phys_mem.create ~frames:1 in
   let f = Phys_mem.alloc_frame pm in
@@ -167,6 +185,35 @@ let test_pt_iter_mapped () =
   Page_table.iter_mapped pt ~f:(fun ~vpn ~frame:_ -> seen := vpn :: !seen);
   Alcotest.(check (list int)) "vpns recovered" (List.sort compare vpns)
     (List.sort compare !seen)
+
+(* The walk's allocation law: [get_pte] allocates nothing on any path
+   (mapped, a missing leaf, a missing directory), and [find_leaf]
+   allocates only its [Some] (two words). *)
+let test_pt_walk_allocates_nothing () =
+  let pt = Page_table.create () in
+  let va = Addr.of_page 123456 in
+  Page_table.set_pte pt va (Pte.make ~frame:9);
+  let probes =
+    [| va; va + Addr.page_size; va + (Addr.pages_per_pmd * Addr.page_size); 1 lsl 46 |]
+  in
+  let n = 10_000 in
+  let sink = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    sink := !sink + Page_table.get_pte pt probes.(i land 3)
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "10k get_pte calls allocate nothing" 0. (w1 -. w0);
+  Alcotest.(check int) "only the mapped probe resolves" (n / 4 * Pte.make ~frame:9) !sink;
+  let found = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    match Page_table.find_leaf pt va with Some _ -> incr found | None -> ()
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check int) "every find_leaf hits" n !found;
+  if w1 -. w0 > float_of_int (2 * n) then
+    Alcotest.failf "%d find_leaf calls allocated %.0f words" n (w1 -. w0)
 
 let prop_pt_model =
   qtest ~count:60 "page table agrees with a hashtable model"
@@ -442,6 +489,50 @@ let test_as_i64_roundtrip () =
   Alcotest.(check int64) "peek of a never-written page is zero" 0L
     (Address_space.peek_i64 aspace ~va:(12288 + 64))
 
+let test_as_reads_never_materialize () =
+  let m = machine () in
+  let aspace = Address_space.create m in
+  Address_space.map_range aspace ~va:4096 ~pages:2;
+  let unbacked va =
+    match Address_space.translate aspace ~va with
+    | Some (frame, _) -> Phys_mem.frame_contents m.Machine.phys frame = None
+    | None -> Alcotest.fail "page not present"
+  in
+  Alcotest.(check int) "read_u8" 0 (Address_space.read_u8 aspace ~va:4100);
+  Alcotest.(check int64) "read_i64" 0L (Address_space.read_i64 aspace ~va:4200);
+  Alcotest.(check int64) "read_i64 across pages" 0L
+    (Address_space.read_i64 aspace ~va:(8192 - 3));
+  Alcotest.(check string) "read_bytes" (String.make 4096 '\000')
+    (Bytes.to_string (Address_space.read_bytes aspace ~va:6000 ~len:4096));
+  Alcotest.(check bool) "both pages still unbacked" true
+    (unbacked 4096 && unbacked 8192);
+  Address_space.write_u8 aspace ~va:8192 1;
+  Alcotest.(check bool) "a write materializes" false (unbacked 8192)
+
+(* The staged copy owns its scratch: once the machine's buffer and flags
+   have grown, a copy over written and never-written pages, aligned or
+   not, allocates nothing. *)
+let test_as_warm_copy_allocates_nothing () =
+  let m = machine () in
+  let aspace = Address_space.create m in
+  Address_space.map_range aspace ~va:4096 ~pages:24;
+  for i = 0 to 3 do
+    Address_space.write_u8 aspace ~va:(4096 + (2 * i * 4096) + 100) (i + 1)
+  done;
+  let copies () =
+    Address_space.copy aspace ~src:4096 ~dst:(4096 * 9) ~len:(4096 * 8);
+    Address_space.copy aspace ~src:(4096 + 100) ~dst:((4096 * 17) + 7) ~len:(4096 * 6)
+  in
+  copies ();
+  let w0 = Gc.minor_words () in
+  copies ();
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "warm copies allocate nothing" 0. (w1 -. w0);
+  Alcotest.(check int) "an aligned stamp moved" 2
+    (Address_space.read_u8 aspace ~va:((4096 * 11) + 100));
+  Alcotest.(check int) "an unaligned stamp moved" 3
+    (Address_space.read_u8 aspace ~va:((4096 * 17) + 7 + (4 * 4096)))
+
 let test_as_touch_counts () =
   let m = machine () in
   let aspace = Address_space.create m in
@@ -560,6 +651,7 @@ let () =
           Alcotest.test_case "read/write" `Quick test_phys_read_write;
           Alcotest.test_case "blit" `Quick test_phys_blit;
           Alcotest.test_case "range check" `Quick test_phys_range_check;
+          Alcotest.test_case "zero_frame" `Quick test_phys_zero_frame;
           Alcotest.test_case "release/install move payloads" `Quick
             test_phys_release_install;
         ] );
@@ -568,6 +660,8 @@ let () =
           Alcotest.test_case "get/set/translate" `Quick test_pt_get_set;
           Alcotest.test_case "leaf sharing" `Quick test_pt_leaf_sharing;
           Alcotest.test_case "iter mapped" `Quick test_pt_iter_mapped;
+          Alcotest.test_case "walk allocates nothing" `Quick
+            test_pt_walk_allocates_nothing;
           prop_pt_model;
         ] );
       ( "tlb",
@@ -612,6 +706,10 @@ let () =
           Alcotest.test_case "checksum sensitivity" `Quick test_as_checksum_sensitivity;
           Alcotest.test_case "i64 roundtrip" `Quick test_as_i64_roundtrip;
           Alcotest.test_case "touch counts" `Quick test_as_touch_counts;
+          Alcotest.test_case "reads never materialize" `Quick
+            test_as_reads_never_materialize;
+          Alcotest.test_case "warm copy allocates nothing" `Quick
+            test_as_warm_copy_allocates_nothing;
           prop_as_fill_checksum_deterministic;
         ] );
       ( "perf",
