@@ -47,14 +47,24 @@ let print_check_report rep =
   Format.printf "%a@." Svagc_check.Check.pp_report rep;
   rep.Svagc_check.Check.findings <> []
 
-let run_experiment ~quick id =
-  if id = "all" then Registry.run_all ~quick ()
-  else
-    match Registry.find id with
-    | Some e -> e.Registry.run ~quick ()
-    | None ->
-      Printf.eprintf "unknown experiment %S (see `svagc list`)\n" id;
-      exit 1
+let unknown_experiment id =
+  Printf.sprintf "unknown experiment %S (see `svagc list`)" id
+
+(* Resolve every id ("all" expands to the registry) before any runs, so
+   a bad id is a usage error rather than a failure after partial output. *)
+let experiments_of ids =
+  List.fold_right
+    (fun id acc ->
+      match acc with
+      | Error _ -> acc
+      | Ok exps when id = "all" -> Ok (Registry.all @ exps)
+      | Ok exps -> (
+        match Registry.find id with
+        | Some e -> Ok (e :: exps)
+        | None -> Error (unknown_experiment id)))
+    ids (Ok [])
+
+let run_experiments ~quick = List.iter (fun e -> e.Registry.run ~quick ())
 
 let exp_cmd =
   let doc = "Reproduce paper experiments by id (or 'all')." in
@@ -75,15 +85,19 @@ let exp_cmd =
       Printf.eprintf "--tenants must be >= 1\n";
       exit 1
     | _ -> Svagc_experiments.Exp_fleet.tenants_override := tenants);
-    if check then Svagc_check.Check.enable ~label:(String.concat "+" ids) ();
-    List.iter (run_experiment ~quick) ids;
-    if check then
-      match Svagc_check.Check.disable () with
-      | Some rep -> if print_check_report rep then exit 1
-      | None -> ()
+    match experiments_of ids with
+    | Error msg -> `Error (false, msg)
+    | Ok exps ->
+      if check then Svagc_check.Check.enable ~label:(String.concat "+" ids) ();
+      run_experiments ~quick exps;
+      (if check then
+         match Svagc_check.Check.disable () with
+         | Some rep -> if print_check_report rep then exit 1
+         | None -> ());
+      `Ok ()
   in
   Cmd.v (Cmd.info "exp" ~doc)
-    Term.(const run $ quick_arg $ check_flag $ tenants_arg $ ids)
+    Term.(ret (const run $ quick_arg $ check_flag $ tenants_arg $ ids))
 
 let collector_conv =
   let parse = function
@@ -338,39 +352,38 @@ let trace_cmd =
       svagc_config ~no_coalesce ~pmd_leaf_swap ~fault_spec ~fault_seed
         ~mem_limit_frames ~swap_cost_ns
     in
-    (* The output file is opened before tracing starts, so an unwritable
-       path is a usage error rather than a crash after the run. *)
+    (* The source is resolved and the output file opened before tracing
+       starts, so a bad id or an unwritable path is a usage error that
+       leaves no file behind, rather than a failure after the run. *)
+    let source =
+      match (exp_id, workload_name) with
+      | Some id, _ -> (
+        match Registry.find id with
+        | Some e -> Ok (`Experiment e)
+        | None -> Error (unknown_experiment id))
+      | None, Some name -> (
+        try Ok (`Workload (Svagc_workloads.Spec.find name))
+        with Not_found ->
+          Error (Printf.sprintf "unknown workload %S (see `svagc list`)" name))
+      | None, None -> Error "pass --workload NAME or --exp ID"
+    in
     let checked =
       if capacity <= 0 then
         Error (Printf.sprintf "--capacity must be positive (got %d)" capacity)
       else
-        match validate_run ~config ~heap_factor ~steps with
-        | Error _ as e -> e
-        | Ok () -> (
-          try Ok (open_out_bin out)
+        match (source, validate_run ~config ~heap_factor ~steps) with
+        | (Error _ as e), _ | _, (Error _ as e) -> e
+        | Ok source, Ok () -> (
+          try Ok (source, open_out_bin out)
           with Sys_error msg -> Error ("cannot write trace: " ^ msg))
     in
     match checked with
     | Error msg -> `Error (false, msg)
-    | Ok oc ->
+    | Ok (source, oc) ->
       let tracer = Tracer.start ~capacity () in
-      (match (exp_id, workload_name) with
-      | Some id, _ -> (
-        match Registry.find id with
-        | Some e -> e.Registry.run ~quick:true ()
-        | None ->
-          Printf.eprintf "unknown experiment %S (see `svagc list`)\n" id;
-          exit 1)
-      | None, None ->
-        Printf.eprintf "trace: pass --workload NAME or --exp ID\n";
-        exit 1
-      | None, Some workload_name ->
-        let workload =
-          try Svagc_workloads.Spec.find workload_name
-          with Not_found ->
-            Printf.eprintf "unknown workload %S (see `svagc list`)\n" workload_name;
-            exit 1
-        in
+      (match source with
+      | `Experiment e -> e.Registry.run ~quick:true ()
+      | `Workload workload ->
         let machine =
           Svagc_experiments.Exp_common.fresh_machine Svagc_vmem.Cost_model.xeon_6130
         in
@@ -451,7 +464,7 @@ let check_cmd =
              fig6, fig9 and table1; pass $(b,all) for every registered \
              experiment).")
   in
-  let run cases seed exps quick =
+  let run_checks cases seed exps quick experiments =
     let module Check = Svagc_check.Check in
     let module Differential = Svagc_check.Differential in
     let failed = ref false in
@@ -504,15 +517,20 @@ let check_cmd =
           ignore (Runner.run ~heap_factor:1.2 ~steps:8 ~machine ~collector_of workload))
     in
     Svagc_check.Check.observe_tracer tracer;
-    List.iter (run_experiment ~quick) exps;
+    run_experiments ~quick experiments;
     (match Svagc_check.Check.disable () with
     | Some rep -> if print_check_report rep then failed := true
     | None -> ());
     if !failed then exit 1;
     print_endline "svagc_check: all invariants hold"
   in
+  let run cases seed exps quick =
+    match experiments_of exps with
+    | Error msg -> `Error (false, msg)
+    | Ok experiments -> `Ok (run_checks cases seed exps quick experiments)
+  in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run $ cases $ seed $ exps $ quick_arg)
+    Term.(ret (const run $ cases $ seed $ exps $ quick_arg))
 
 let fleet_cmd =
   let module Fleet = Svagc_fleet.Fleet in
@@ -654,4 +672,10 @@ let main =
   Cmd.group (Cmd.info "svagc" ~version:"1.0.0" ~doc)
     [ list_cmd; exp_cmd; bench_cmd; fleet_cmd; threshold_cmd; trace_cmd; check_cmd ]
 
-let () = exit (Cmd.eval main)
+(* A bad DOMAINS is a usage error before any command runs. *)
+let () =
+  match Svagc_par.Domain_pool.env_domains () with
+  | Error msg ->
+    prerr_endline ("svagc: " ^ msg);
+    exit Cmd.Exit.cli_error
+  | Ok _ -> exit (Cmd.eval main)

@@ -533,69 +533,6 @@ let work_steal_oracle ?(threads = 4) ?(steal_ns = 2.0) ?(barrier_ns = 0.0)
   end;
   result a
 
-(* --- domain safety: sharded sweeps never share a leaf --- *)
-
-module Par_sweep = Svagc_par.Par_sweep
-
-let domain_safety (r : Par_sweep.result) =
-  let a = acc () in
-  let s = r.Par_sweep.shards in
-  let n = Array.length s in
-  law a "domain-safety" (n > 0) "sweep result carries no shards";
-  for i = 0 to n - 1 do
-    let sh = s.(i) in
-    law a "domain-safety"
-      (sh.Par_sweep.ss_shard = i)
-      "shard at index %d says it is shard %d (merge order broken)" i
-      sh.Par_sweep.ss_shard;
-    law a "domain-safety"
-      (sh.Par_sweep.ss_leaf_lo <= sh.Par_sweep.ss_leaf_hi)
-      "shard %d owns the inverted leaf range [%d, %d)" i
-      sh.Par_sweep.ss_leaf_lo sh.Par_sweep.ss_leaf_hi;
-    if i > 0 then
-      (* Contiguous canonical partition: shard i starts exactly where
-         shard i-1 ended, so no leaf has two owners and none is skipped. *)
-      law a "domain-safety"
-        (s.(i - 1).Par_sweep.ss_leaf_hi = sh.Par_sweep.ss_leaf_lo)
-        "shards %d and %d share or skip leaves: [..., %d) then [%d, ...)"
-        (i - 1) i
-        s.(i - 1).Par_sweep.ss_leaf_hi
-        sh.Par_sweep.ss_leaf_lo;
-    law a "domain-safety"
-      (sh.Par_sweep.ss_leaves <= sh.Par_sweep.ss_leaf_hi - sh.Par_sweep.ss_leaf_lo)
-      "shard %d walked %d leaves but owns only %d" i sh.Par_sweep.ss_leaves
-      (sh.Par_sweep.ss_leaf_hi - sh.Par_sweep.ss_leaf_lo)
-  done;
-  let sum f = Array.fold_left (fun acc sh -> acc + f sh) 0 s in
-  law a "domain-safety"
-    (r.Par_sweep.leaves = sum (fun sh -> sh.Par_sweep.ss_leaves))
-    "merged leaf count %d <> shard sum %d" r.Par_sweep.leaves
-    (sum (fun sh -> sh.Par_sweep.ss_leaves));
-  law a "domain-safety"
-    (r.Par_sweep.present = sum (fun sh -> sh.Par_sweep.ss_present))
-    "merged present count %d <> shard sum %d" r.Par_sweep.present
-    (sum (fun sh -> sh.Par_sweep.ss_present));
-  law a "domain-safety"
-    (r.Par_sweep.swapped = sum (fun sh -> sh.Par_sweep.ss_swapped))
-    "merged swapped count %d <> shard sum %d" r.Par_sweep.swapped
-    (sum (fun sh -> sh.Par_sweep.ss_swapped));
-  let cks =
-    Array.fold_left
-      (fun acc sh -> Int64.add acc sh.Par_sweep.ss_checksum)
-      0L s
-  in
-  law a "domain-safety"
-    (r.Par_sweep.checksum = cks)
-    "merged checksum %Ld <> shard sum %Ld" r.Par_sweep.checksum cks;
-  let walk =
-    Array.fold_left (fun acc sh -> acc +. sh.Par_sweep.ss_cost_ns) 0.0 s
-  in
-  law a "domain-safety"
-    (Int64.bits_of_float r.Par_sweep.walk_ns = Int64.bits_of_float walk)
-    "merged walk_ns %.17g is not the bit-exact left-to-right shard sum %.17g"
-    r.Par_sweep.walk_ns walk;
-  result a
-
 (* --- shadow mode --- *)
 
 (* One registered machine.  The machine itself is held weakly so check

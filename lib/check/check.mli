@@ -136,16 +136,6 @@ val work_steal_oracle :
     ([max cost], [total/threads]) and the serial upper bound
     ([total + steals * steal_ns + barrier_ns]); zero tasks cost zero. *)
 
-val domain_safety : Svagc_par.Par_sweep.result -> int * finding list
-(** The no-shared-leaf law of DESIGN.md §13 on a sharded sweep's result:
-    shard records sit at their own canonical index, their PMD-leaf ranges
-    form a contiguous disjoint partition (no leaf has two owners, none is
-    skipped), no shard walked more leaves than it owns, and the merged
-    totals are exactly the shard sums — counts and checksum by
-    commutative addition, [walk_ns] as the bit-exact left-to-right float
-    sum.  Together with {!Differential.par_identity} this pins the
-    host-parallel sweep to the sequential semantics. *)
-
 (** {1 Shadow mode} *)
 
 val enable : ?label:string -> unit -> unit

@@ -305,30 +305,20 @@ let makespan_identity ~seed =
           seed threads n steal_ns flat reference;
       ] )
 
-(* --- host-parallelism identity: 1 domain vs N domains --- *)
+(* --- host-parallelism identity: runs mapped at 1 vs N domains --- *)
 
 module Domain_pool = Svagc_par.Domain_pool
-module Par_sweep = Svagc_par.Par_sweep
 module Heap = Svagc_heap.Heap
 module Lisp2 = Svagc_gc.Lisp2
 module Gc_stats = Svagc_gc.Gc_stats
-module Tracer = Svagc_trace.Tracer
-module Chrome_trace = Svagc_trace.Chrome_trace
 
-(* Everything a GC-plus-sweep workload can observably produce, with every
-   float bit-cast: the comparison below is bit-identity, not tolerance. *)
+(* Everything a GC run can observably produce, with every float
+   bit-cast: the comparison below is bit-identity, not tolerance. *)
 type par_observation = {
   po_cycles : (int64 list * int list) list;
       (** per GC cycle: float-bit fields, integer fields *)
   po_counters : (string * int) list;
   po_layout : (int * int) list;
-  po_trace : string;  (** canonical Chrome JSON, compared byte for byte *)
-  po_sweep_ints : int list;
-  po_sweep_bits : int64 list;
-  po_sweep_checksums : int64 list;
-  po_checksum : int64;
-  po_checksum_ref : int64;
-  po_safety : int * Check.finding list;
 }
 
 let cycle_digest (c : Gc_stats.cycle) =
@@ -352,8 +342,7 @@ let cycle_digest (c : Gc_stats.cycle) =
 
 (* Deterministic object soup: a mix of small and page-aligned swappable
    objects, most rooted and chained both ways, the rest garbage — enough
-   structure that every LISP2 phase has real work.  The GC cycles guard
-   that collection never becomes dependent on the domain count. *)
+   structure that every LISP2 phase has real work. *)
 let par_populate rng heap ~objects =
   let prev = ref None in
   for i = 0 to objects - 1 do
@@ -373,117 +362,49 @@ let par_populate rng heap ~objects =
     end
   done
 
-(* One full run of the workload under whatever global pool is installed:
-   two traced LISP2 cycles (the second re-marks a compacted heap) plus a
-   sharded page-table sweep, everything digested. *)
-let par_workload ~seed () =
+(* One independent run on its own machine: two LISP2 cycles (the second
+   re-marks a compacted heap), everything digested. *)
+let par_workload seed =
   let machine = Machine.create ~ncores:4 ~phys_mib:128 Cost_model.xeon_6130 in
   let proc = Process.create ~name:"par-identity" machine in
   let heap = Heap.create proc ~size_bytes:(12 * 1024 * 1024) () in
-  let pt = Address_space.page_table (Process.aspace proc) in
   let rng = Rng.create ~seed in
-  let obs, tracer =
-    Tracer.with_tracer (fun () ->
-        Tracer.set_counter_source (fun () ->
-            Perf.to_assoc machine.Machine.perf);
-        Fun.protect ~finally:Tracer.clear_counter_source (fun () ->
-            let cfg = Lisp2.config ~label:"par-identity" ~threads:4 () in
-            par_populate rng heap ~objects:140;
-            let c1 = Lisp2.collect cfg heap in
-            par_populate rng heap ~objects:60;
-            let c2 = Lisp2.collect cfg heap in
-            let va = Heap.base heap in
-            let pages = (Heap.limit heap - va) / Addr.page_size in
-            let sweep = Par_sweep.run machine pt ~va ~pages ~shards:8 in
-            let reference = Par_sweep.checksum_reference pt ~va ~pages in
-            (c1, c2, sweep, reference)))
-  in
-  let c1, c2, sweep, reference = obs in
-  let shard_list = Array.to_list sweep.Par_sweep.shards in
+  let cfg = Lisp2.config ~label:"par-identity" ~threads:4 () in
+  par_populate rng heap ~objects:140;
+  let c1 = Lisp2.collect cfg heap in
+  par_populate rng heap ~objects:60;
+  let c2 = Lisp2.collect cfg heap in
   {
     po_cycles = [ cycle_digest c1; cycle_digest c2 ];
     po_counters = Perf.to_assoc machine.Machine.perf;
     po_layout = layout_of proc;
-    po_trace = Chrome_trace.to_string tracer;
-    po_sweep_ints =
-      sweep.Par_sweep.leaves :: sweep.Par_sweep.present
-      :: sweep.Par_sweep.swapped
-      :: List.concat_map
-           (fun s ->
-             [
-               s.Par_sweep.ss_shard;
-               s.Par_sweep.ss_leaf_lo;
-               s.Par_sweep.ss_leaf_hi;
-               s.Par_sweep.ss_leaves;
-               s.Par_sweep.ss_present;
-               s.Par_sweep.ss_swapped;
-             ])
-           shard_list;
-    po_sweep_bits =
-      Int64.bits_of_float sweep.Par_sweep.walk_ns
-      :: Int64.bits_of_float sweep.Par_sweep.makespan_ns
-      :: List.map
-           (fun s -> Int64.bits_of_float s.Par_sweep.ss_cost_ns)
-           shard_list;
-    po_sweep_checksums =
-      List.map (fun s -> s.Par_sweep.ss_checksum) shard_list;
-    po_checksum = sweep.Par_sweep.checksum;
-    po_checksum_ref = reference;
-    po_safety = Check.domain_safety sweep;
   }
 
-let first_byte_mismatch a b =
-  let n = min (String.length a) (String.length b) in
-  let rec go i =
-    if i >= n then n else if a.[i] <> b.[i] then i else go (i + 1)
-  in
-  go 0
-
-let par_identity ?(domains = 4) ~seed () =
+let par_identity ?(domains = 4) ?(runs = 4) ~seed () =
   let items = ref 0 and findings = ref [] in
   let law ok f =
     incr items;
     if not ok then findings := f () :: !findings
   in
-  let base = Domain_pool.with_global ~domains:1 (par_workload ~seed) in
-  let par = Domain_pool.with_global ~domains (par_workload ~seed) in
-  let label = Printf.sprintf "par case seed=%d (1 vs %d domains)" seed domains in
-  List.iter
-    (fun (who, o) ->
-      let n, f = o.po_safety in
-      items := !items + n;
-      findings := List.rev_append f !findings;
-      law (o.po_checksum = o.po_checksum_ref) (fun () ->
+  let seeds = List.init runs (fun i -> seed + (7919 * i)) in
+  let observe d = Domain_pool.map (Domain_pool.create ~domains:d) par_workload seeds in
+  let base = observe 1 and par = observe domains in
+  List.iter2
+    (fun s (b, p) ->
+      let label = Printf.sprintf "par run seed=%d (1 vs %d domains)" s domains in
+      law (b.po_cycles = p.po_cycles) (fun () ->
           mk "par-identity"
-            "%s: %s sweep checksum %Ld <> sequential reference %Ld" label who
-            o.po_checksum o.po_checksum_ref))
-    [ ("1-domain", base); (Printf.sprintf "%d-domain" domains, par) ];
-  law (base.po_cycles = par.po_cycles) (fun () ->
-      mk "par-identity"
-        "%s: GC cycle stats (clocks or accounting) are not bit-identical"
-        label);
-  law (base.po_counters = par.po_counters) (fun () ->
-      match first_counter_mismatch base.po_counters par.po_counters with
-      | Some ((k, v1), (_, v2)) ->
-        mk "par-identity" "%s: counter %s = %d (1 domain) vs %d (%d domains)"
-          label k v1 v2 domains
-      | None -> mk "par-identity" "%s: counter sets differ" label);
-  law (base.po_layout = par.po_layout) (fun () ->
-      mk "par-identity" "%s: final heap layouts differ" label);
-  law (base.po_trace = par.po_trace) (fun () ->
-      mk "par-identity" "%s: traces diverge at byte %d (lengths %d vs %d)"
-        label
-        (first_byte_mismatch base.po_trace par.po_trace)
-        (String.length base.po_trace)
-        (String.length par.po_trace));
-  law
-    (base.po_sweep_ints = par.po_sweep_ints
-    && base.po_sweep_bits = par.po_sweep_bits
-    && base.po_sweep_checksums = par.po_sweep_checksums
-    && base.po_checksum = par.po_checksum)
-    (fun () ->
-      mk "par-identity" "%s: sharded sweep results are not bit-identical"
-        label);
+            "%s: GC cycle stats (clocks or accounting) are not bit-identical"
+            label);
+      law (b.po_counters = p.po_counters) (fun () ->
+          match first_counter_mismatch b.po_counters p.po_counters with
+          | Some ((k, v1), (_, v2)) ->
+            mk "par-identity" "%s: counter %s = %d (1 domain) vs %d (%d domains)"
+              label k v1 v2 domains
+          | None -> mk "par-identity" "%s: counter sets differ" label);
+      law (b.po_layout = p.po_layout) (fun () ->
+          mk "par-identity" "%s: final heap layouts differ" label))
+    seeds (List.combine base par);
   (!items, List.rev !findings)
 
 let arena_sizes = [| 384; 512; 1024; 1536; 2048 |]
@@ -500,11 +421,9 @@ let run_suite ?(cases = 40) ?(seed = 0xC0FFEE) () =
     items := !items + n1 + n2 + n3 + n4;
     findings := !findings @ f1 @ f2 @ f3 @ f4
   done;
-  (* Host-parallelism identity is a full double GC per replay, so run a
+  (* Host-parallelism identity is a full double GC per run, so map a
      handful of seeds rather than one per case. *)
-  for i = 0 to (cases / 16) + 1 do
-    let n, f = par_identity ~seed:(seed + (7919 * i)) () in
-    items := !items + n;
-    findings := !findings @ f
-  done;
+  let n, f = par_identity ~runs:((cases / 16) + 2) ~seed () in
+  items := !items + n;
+  findings := !findings @ f;
   (!items, !findings)

@@ -78,19 +78,15 @@ val makespan_identity : seed:int -> int * Check.finding list
     zero costs, [steal_ns] zero or positive): {!Svagc_par.Work_steal.makespan}
     must equal [Work_steal.run]'s [makespan_ns] bit for bit. *)
 
-val par_identity : ?domains:int -> seed:int -> unit -> int * Check.finding list
-(** The host-parallelism oracle (DESIGN.md §13): replay one deterministic
-    workload — two traced LISP2 GC cycles over a seeded object soup
-    followed by a sharded {!Svagc_par.Par_sweep} — once under a 1-domain
-    global pool and once under a [domains]-domain pool
-    ([Svagc_par.Domain_pool.with_global]), and assert the two runs are
-    {e bit-identical} in every observable: per-cycle clocks (float bits),
-    cycle accounting, the full perf-counter vector, the final heap
-    layout, the canonical Chrome trace (byte for byte, per-span counter
-    deltas included), and the sweep's per-shard stats, costs and
-    checksums.  Each replay also passes {!Check.domain_safety} and checks
-    the sweep checksum against {!Svagc_par.Par_sweep.checksum_reference}.
-    [domains] defaults to 4. *)
+val par_identity :
+  ?domains:int -> ?runs:int -> seed:int -> unit -> int * Check.finding list
+(** The host-parallelism oracle (DESIGN.md §13.3): [runs] (default 4)
+    independent seeded runs — each two LISP2 GC cycles over an object
+    soup on its own machine — mapped through {!Svagc_par.Domain_pool.map}
+    once at 1 domain and once at [domains] (default 4).  Each run's
+    per-cycle clocks (float bits) and accounting, full perf-counter
+    vector and final heap layout must be bit-identical across the two
+    maps. *)
 
 val run_suite : ?cases:int -> ?seed:int -> unit -> int * Check.finding list
 (** [cases] generated schedules (default 40) through {!compare_case},

@@ -21,6 +21,12 @@ val collector_of :
 val fresh_machine : ?ncores:int -> ?phys_mib:int -> Svagc_vmem.Cost_model.t ->
   Svagc_vmem.Machine.t
 
+val runs : (unit -> 'a) list -> 'a list
+(** Run independent simulated runs — each on its own machine, touching
+    no shared state — through {!Svagc_par.Domain_pool.map} on the global
+    pool; results come back in list order.  Inline and in order while the
+    shadow oracle ([Machine.created_hook]) or a tracer is installed. *)
+
 val suite_run :
   quick:bool ->
   collector_kind ->
@@ -28,6 +34,11 @@ val suite_run :
   Svagc_workloads.Workload.t ->
   Svagc_workloads.Runner.result
 (** Memoized on (workload name, collector, heap factor, quick). *)
+
+val prefill : quick:bool -> (collector_kind * float) list -> unit
+(** Compute every not-yet-cached {!suite_run} of [suite ~quick] x the
+    given (collector, heap factor) grid through {!runs}, then fill the
+    cache on the calling domain. *)
 
 val suite : quick:bool -> Svagc_workloads.Workload.t list
 (** The Fig. 11 / Table III benchmark list; [quick] trims it to a

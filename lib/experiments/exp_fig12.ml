@@ -47,6 +47,13 @@ let print_factor ~quick ~heap_factor ~label ~paper_par ~paper_shen =
 
 let run ?(quick = false) () =
   Report.section "Fig. 12 - Average full-GC latency vs Shenandoah/ParallelGC";
+  Exp_common.prefill ~quick
+    (List.concat_map
+       (fun heap_factor ->
+         List.map
+           (fun kind -> (kind, heap_factor))
+           Exp_common.[ Svagc; Parallelgc; Shenandoah ])
+       [ 1.2; 2.0 ]);
   let (_ : float * float) =
     print_factor ~quick ~heap_factor:1.2 ~label:"(a) 1.2x minimum heap"
       ~paper_par:"3.82x" ~paper_shen:"16.05x"

@@ -15,6 +15,8 @@ type row = {
 }
 
 let measure ~quick =
+  Exp_common.prefill ~quick
+    [ (Exp_common.Lisp2_memmove, 1.2); (Exp_common.Svagc, 1.2) ];
   List.map
     (fun w ->
       let base = Exp_common.suite_run ~quick Exp_common.Lisp2_memmove ~heap_factor:1.2 w in

@@ -62,7 +62,6 @@ let instrumented_run ~swapva ~heap_factor workload =
     step ();
     incr executed
   done;
-  Gc.full_major ();
   let cache_pct = Cache_sim.miss_rate machine.Machine.llc in
   let tlb_stats = Tlb.stats (Machine.core machine measure_core).Machine.tlb in
   let dtlb_pct =
@@ -72,17 +71,31 @@ let instrumented_run ~swapva ~heap_factor workload =
   in
   { cache_pct; dtlb_pct }
 
+(* Every (workload, mover, heap factor) cell is an independent run on
+   its own machine, so all of them go through [Exp_common.runs] at once.
+   Per workload the cells are listed 2x before 1.2x and SwapVA before
+   memmove: the order [--check] and [trace --exp table3] replay them
+   inline, which fixes their pids and event order. *)
 let measure ~quick =
-  List.map
-    (fun w ->
-      {
-        benchmark = w.Workload.name;
-        memmove_12 = instrumented_run ~swapva:false ~heap_factor:1.2 w;
-        swapva_12 = instrumented_run ~swapva:true ~heap_factor:1.2 w;
-        memmove_20 = instrumented_run ~swapva:false ~heap_factor:2.0 w;
-        swapva_20 = instrumented_run ~swapva:true ~heap_factor:2.0 w;
-      })
-    (Exp_common.suite ~quick)
+  let workloads = Exp_common.suite ~quick in
+  let cells =
+    Exp_common.runs
+      (List.concat_map
+         (fun w ->
+           List.map
+             (fun (swapva, heap_factor) () ->
+               instrumented_run ~swapva ~heap_factor w)
+             [ (true, 2.0); (false, 2.0); (true, 1.2); (false, 1.2) ])
+         workloads)
+  in
+  let rec rows ws cells =
+    match (ws, cells) with
+    | w :: ws, swapva_20 :: memmove_20 :: swapva_12 :: memmove_12 :: cells ->
+      { benchmark = w.Workload.name; memmove_12; swapva_12; memmove_20; swapva_20 }
+      :: rows ws cells
+    | _ -> []
+  in
+  rows workloads cells
 
 let geomean_of rows f =
   Svagc_util.Num_util.geomean (List.map f rows)

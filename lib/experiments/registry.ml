@@ -26,7 +26,6 @@ let all =
     { id = "resilience"; title = "GC under injected kernel faults (extension)"; run = Exp_resilience.run };
     { id = "pressure"; title = "Compaction cost vs residency under memory pressure (extension)"; run = Exp_pressure.run };
     { id = "fleet"; title = "Multi-tenant fleet: cgroups, admission & far memory (extension)"; run = Exp_fleet.run };
-    { id = "par"; title = "Host parallelism: domains, sharded sweep, deterministic reduction (extension)"; run = Exp_par.run };
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all

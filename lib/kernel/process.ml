@@ -9,11 +9,12 @@ type t = {
   mutable pinned : bool;
 }
 
-let next_pid = ref 100
+(* Atomic: experiment runs create processes on several domains at once,
+   and pids must stay unique across machines (Chrome trace tracks). *)
+let next_pid = Atomic.make 101
 
 let create ?name machine =
-  incr next_pid;
-  let pid = !next_pid in
+  let pid = Atomic.fetch_and_add next_pid 1 in
   let name = match name with Some n -> n | None -> Printf.sprintf "proc-%d" pid in
   {
     pid;

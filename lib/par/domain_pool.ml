@@ -1,203 +1,73 @@
-(* Upper bound on [domains]; [DOMAINS] is clamped to it. *)
 let max_domains = 128
 
-(* Set on pool workers, so a [run] issued from one degrades to inline. *)
-let on_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-
-(* One fan-out: a shard counter claimed with an atomic fetch-and-add.
-   The [b_done] counter doubles as the synchronisation edge — workers
-   bump it (SC atomic) after their plain writes, the caller reads it
-   before touching any shard result, so every shard's effects are
-   visible to the merge without further locking. *)
-type batch = {
-  b_task : int -> unit;
-  b_total : int;
-  b_next : int Atomic.t;
-  b_done : int Atomic.t;
-  b_errors : exn option array;
-}
-
-type t = {
-  n_domains : int;
-  mu : Mutex.t;
-  work_cv : Condition.t;
-  done_cv : Condition.t;
-  mutable batch : batch option;
-  mutable epoch : int;
-  mutable stopping : bool;
-  mutable workers : unit Domain.t array;
-}
-
-let domains t = t.n_domains
-
-(* Claim shards until the batch is drained.  The last finisher
-   broadcasts [done_cv] under the pool mutex so the caller's wait cannot
-   miss the wakeup. *)
-let drain t b =
-  let rec claim () =
-    let i = Atomic.fetch_and_add b.b_next 1 in
-    if i < b.b_total then begin
-      (try b.b_task i with e -> b.b_errors.(i) <- Some e);
-      let finished = 1 + Atomic.fetch_and_add b.b_done 1 in
-      if finished = b.b_total then begin
-        Mutex.lock t.mu;
-        Condition.broadcast t.done_cv;
-        Mutex.unlock t.mu
-      end;
-      claim ()
-    end
-  in
-  claim ()
-
-let worker_loop t =
-  Domain.DLS.set on_worker true;
-  let seen = ref 0 in
-  let rec loop () =
-    Mutex.lock t.mu;
-    while (not t.stopping) && t.epoch = !seen do
-      Condition.wait t.work_cv t.mu
-    done;
-    if t.stopping then Mutex.unlock t.mu
-    else begin
-      seen := t.epoch;
-      let b = t.batch in
-      Mutex.unlock t.mu;
-      (* The batch may already be fully drained (and cleared) by the
-         time a slow worker wakes — nothing to do then. *)
-      (match b with Some b -> drain t b | None -> ());
-      loop ()
-    end
-  in
-  loop ()
+type t = { n_domains : int }
 
 let create ~domains =
   if domains < 1 || domains > max_domains then
     invalid_arg "Domain_pool.create: domains out of range";
-  let t =
-    {
-      n_domains = domains;
-      mu = Mutex.create ();
-      work_cv = Condition.create ();
-      done_cv = Condition.create ();
-      batch = None;
-      epoch = 0;
-      stopping = false;
-      workers = [||];
-    }
-  in
-  t.workers <-
-    Array.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
+  { n_domains = domains }
 
-let shutdown t =
-  Mutex.lock t.mu;
-  t.stopping <- true;
-  Condition.broadcast t.work_cv;
-  Mutex.unlock t.mu;
-  Array.iter Domain.join t.workers;
-  t.workers <- [||]
+let domains t = t.n_domains
 
-let reraise_first b =
-  let rec scan i =
-    if i < b.b_total then
-      match b.b_errors.(i) with Some e -> raise e | None -> scan (i + 1)
-  in
-  scan 0
+(* Set while this domain runs tasks of a [map], so a nested [map] runs
+   inline instead of spawning domains of its own. *)
+let in_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-let run_inline ~shards task =
-  (* Inline execution still reports the canonical (lowest-shard)
-     exception after running every shard, matching the pooled path. *)
-  let errors = ref [] in
-  for i = 0 to shards - 1 do
-    try task i with e -> errors := (i, e) :: !errors
-  done;
-  match List.rev !errors with (_, e) :: _ -> raise e | [] -> ()
-
-(* Publish a batch, drain it alongside the workers, wait for stragglers.
-   Called with [t.mu] held; returns with it released. *)
-let run_batch t b =
-  t.batch <- Some b;
-  t.epoch <- t.epoch + 1;
-  Condition.broadcast t.work_cv;
-  Mutex.unlock t.mu;
-  (* The caller claims shards like any worker, then blocks only for the
-     stragglers. *)
-  drain t b;
-  Mutex.lock t.mu;
-  while Atomic.get b.b_done < b.b_total do
-    Condition.wait t.done_cv t.mu
-  done;
-  t.batch <- None;
-  Mutex.unlock t.mu;
-  reraise_first b
-
-let run t ~shards task =
-  if shards < 0 then invalid_arg "Domain_pool.run: negative shards";
-  if shards = 0 then ()
-  else if t.n_domains = 1 || shards = 1 || Domain.DLS.get on_worker then
-    run_inline ~shards task
+let as_task g =
+  if Domain.DLS.get in_task then g ()
   else begin
-    let b =
-      {
-        b_task = task;
-        b_total = shards;
-        b_next = Atomic.make 0;
-        b_done = Atomic.make 0;
-        b_errors = Array.make shards None;
-      }
+    Domain.DLS.set in_task true;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set in_task false) g
+  end
+
+let map t f xs =
+  let tasks = Array.of_list xs in
+  let n = Array.length tasks in
+  let helpers =
+    if Domain.DLS.get in_task then 0 else min (t.n_domains - 1) (n - 1)
+  in
+  if helpers <= 0 then as_task (fun () -> List.map f xs)
+  else begin
+    (* Each task writes only its own slot; [Domain.join] publishes the
+       helpers' writes to the caller. *)
+    let results = Array.make n None in
+    let next = Atomic.make 0 in
+    let rec claim () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <-
+          Some
+            (try Ok (f tasks.(i))
+             with e -> Error (e, Printexc.get_raw_backtrace ()));
+        claim ()
+      end
     in
-    Mutex.lock t.mu;
-    if t.stopping then begin
-      Mutex.unlock t.mu;
-      invalid_arg "Domain_pool.run: pool is shut down"
-    end
-    else if t.batch <> None then begin
-      (* Re-entrant fan-out: a shard running on the caller domain issued
-         another [run] while its own batch is still in flight.  Degrade
-         to inline, exactly as a worker-domain caller does. *)
-      Mutex.unlock t.mu;
-      run_inline ~shards task
-    end
-    else run_batch t b
+    let spawned =
+      List.init helpers (fun _ -> Domain.spawn (fun () -> as_task claim))
+    in
+    as_task claim;
+    List.iter Domain.join spawned;
+    Array.iter
+      (function
+        | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+        | Some (Ok _) | None -> ())
+      results;
+    List.init n (fun i ->
+        match results.(i) with Some (Ok v) -> v | _ -> assert false)
   end
 
-let map_shards t ~shards f =
-  if shards = 0 then [||]
-  else begin
-    let results = Array.make shards None in
-    run t ~shards (fun i -> results.(i) <- Some (f i));
-    Array.map (function Some v -> v | None -> assert false) results
-  end
-
-let default_domains () =
+let env_domains () =
   match Sys.getenv_opt "DOMAINS" with
+  | None -> Ok (max 1 (min 4 (Domain.recommended_domain_count ())))
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some n -> max 1 (min n max_domains)
-    | None -> 1)
-  | None -> max 1 (min 4 (Domain.recommended_domain_count ()))
-
-let global_pool : t option ref = ref None
+    | Some n when n >= 1 && n <= max_domains -> Ok n
+    | _ ->
+      Error
+        (Printf.sprintf "DOMAINS must be an integer in 1..%d (got %S)"
+           max_domains s))
 
 let global () =
-  match !global_pool with
-  | Some p -> p
-  | None ->
-    let p = create ~domains:(default_domains ()) in
-    global_pool := Some p;
-    at_exit (fun () -> shutdown p);
-    p
-
-let with_pool ~domains f =
-  let p = create ~domains in
-  Fun.protect ~finally:(fun () -> shutdown p) (fun () -> f p)
-
-let with_global ~domains f =
-  let saved = !global_pool in
-  let p = create ~domains in
-  global_pool := Some p;
-  Fun.protect
-    ~finally:(fun () ->
-      global_pool := saved;
-      shutdown p)
-    f
+  match env_domains () with
+  | Ok domains -> create ~domains
+  | Error msg -> invalid_arg msg

@@ -1,6 +1,7 @@
 (** Deterministic simulated work-stealing executor — the {e simulated-time}
-    half of the repo's parallelism story ({!Domain_pool} is the
-    {e host-time} half; see DESIGN.md §13).
+    half of the repo's parallelism story ({!Domain_pool}, which runs whole
+    experiment runs on host domains, is the {e host-time} half; see
+    DESIGN.md §13).
 
     All parallel GC phases (mark, forward, adjust, compact — as in the
     paper's "parallelized phases, same as ParallelGC") are expressed as a
@@ -10,7 +11,7 @@
     effects run exactly once, in schedule order, on the calling domain, so
     the simulation stays deterministic while the *makespan* — the number
     the experiments publish — reflects parallel execution.  No GC phase
-    runs on real domains; {!Domain_pool} serves {!Par_sweep} only.
+    runs on real domains.
 
     Guarantees checked by the property tests:
     makespan >= max(total_work / threads, max_task_cost) and

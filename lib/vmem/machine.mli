@@ -106,8 +106,7 @@ val hot_scratch : t -> hot_scratch
 (** The machine's scratch, created on first use.  There is one per
     machine, unlocked, so it is safe only while one domain drives a
     machine at a time — which holds: every GC phase runs on the calling
-    domain, and [Svagc_par.Par_sweep] shards only read the page table
-    through [Page_table.find_leaf] and never call this. *)
+    domain, and host domains run whole runs, each on its own machine. *)
 
 val create : ?ncores:int -> ?phys_mib:int -> Cost_model.t -> t
 (** [ncores] defaults to the preset's core count; [phys_mib] defaults to

@@ -87,12 +87,9 @@ val diff : after:t -> before:t -> t
 (** Per-field subtraction. *)
 
 val add : into:t -> t -> unit
-(** [add ~into delta] accumulates every counter of [delta] into [into] —
-    the canonical-order merge of per-shard (domain-local) counter deltas
-    back into a machine's counters.  Integer addition commutes, so the
-    merged vector is independent of both the shard partition and the
-    domain count; [Svagc_check.Differential.par_identity] holds the
-    sharded paths to exactly that. *)
+(** [add ~into delta] accumulates every counter of [delta] into [into],
+    e.g. per-run deltas into a benchmark-wide total.  Integer addition
+    commutes, so the merge order does not matter. *)
 
 val to_assoc : t -> (string * int) list
 (** Every counter as [(name, value)], in declaration order.  This is the

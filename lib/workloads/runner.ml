@@ -37,10 +37,6 @@ let run ?(heap_factor = 1.2) ?(steps = 60) ?(min_gcs = 4) ?(max_steps = 3000)
   done;
   let cycles = Jvm.cycles jvm in
   let total_ns = Jvm.total_ns jvm in
-  (* Each run materializes up to a couple hundred MiB of simulated frames;
-     sweeping experiments run dozens of JVMs back to back, so return the
-     memory eagerly instead of letting host RSS ratchet up. *)
-  Gc.full_major ();
   {
     workload = workload.Workload.name;
     collector = Gc_intf.name (Jvm.collector jvm);

@@ -287,8 +287,8 @@ let test_differential_suite () =
   check_no_findings "differential suite"
     (Differential.run_suite ~cases:6 ~seed:0xBEEF ())
 
-(* 1-domain vs 4-domain replays of the same GC + sweep workload must be
-   bit-identical in clocks, counters, layouts and traces. *)
+(* Seeded GC runs mapped at 1 and at 4 domains must be bit-identical in
+   clocks, counters and layouts. *)
 let test_par_identity () =
   check_no_findings "par identity"
     (Differential.par_identity ~domains:4 ~seed:0xD011 ())

@@ -129,14 +129,14 @@ let test_fig15_throughput_direction () =
     (sparse.Fig15.improvement_pct > crypto.Fig15.improvement_pct)
 
 let test_registry_complete () =
-  Alcotest.(check int) "21 experiments (12 figures + 3 tables + 6 extensions)" 21
+  Alcotest.(check int) "20 experiments (12 figures + 3 tables + 5 extensions)" 20
     (List.length Registry.all);
   List.iter
     (fun id ->
       Alcotest.(check bool) (id ^ " registered") true (Registry.find id <> None))
     [ "fig1"; "fig2"; "fig6"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12";
       "fig13"; "fig14"; "fig15"; "fig16"; "table1"; "table2"; "table3";
-      "ablation"; "extensions"; "resilience"; "pressure"; "fleet"; "par" ]
+      "ablation"; "extensions"; "resilience"; "pressure"; "fleet" ]
 
 let test_suite_run_memoized () =
   let w = Svagc_workloads.Crypto_aes.workload in

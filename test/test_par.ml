@@ -198,164 +198,125 @@ let prop_deque_model =
         ops
       && Deque.length d = List.length !model)
 
-(* --- Domain_pool / Reduce / Par_sweep: real host parallelism --- *)
+(* --- Domain_pool: whole tasks on real domains --- *)
 
 module Domain_pool = Svagc_par.Domain_pool
-module Reduce = Svagc_par.Reduce
-module Par_sweep = Svagc_par.Par_sweep
-module Machine = Svagc_vmem.Machine
-module Perf = Svagc_vmem.Perf
 module Process = Svagc_kernel.Process
-module Differential = Svagc_check.Differential
-
-let prop_slice_partitions =
-  qtest ~count:200 "slice is a contiguous balanced partition"
-    QCheck.(pair (int_range 0 500) (int_range 1 32))
-    (fun (len, shards) ->
-      let ranges = List.init shards (Reduce.slice ~len ~shards) in
-      let rec contiguous prev = function
-        | [] -> prev = len
-        | (lo, hi) :: rest -> lo = prev && lo <= hi && contiguous hi rest
-      in
-      contiguous 0 ranges
-      && List.for_all
-           (fun (lo, hi) ->
-             let sz = hi - lo in
-             sz >= len / shards && sz <= (len / shards) + 1)
-           ranges)
 
 let test_pool_executes_once () =
   List.iter
     (fun domains ->
-      Domain_pool.with_pool ~domains (fun pool ->
-          let hits = Array.make 64 0 in
-          Domain_pool.run pool ~shards:64 (fun i -> hits.(i) <- hits.(i) + 1);
-          Array.iteri
-            (fun i n ->
-              if n <> 1 then
-                Alcotest.failf "%d domains: shard %d ran %d times" domains i n)
-            hits))
+      let pool = Domain_pool.create ~domains in
+      let hits = Array.init 64 (fun _ -> Atomic.make 0) in
+      ignore
+        (Domain_pool.map pool (fun i -> Atomic.incr hits.(i)) (List.init 64 Fun.id));
+      Array.iteri
+        (fun i n ->
+          if Atomic.get n <> 1 then
+            Alcotest.failf "%d domains: task %d ran %d times" domains i
+              (Atomic.get n))
+        hits)
     [ 1; 2; 4 ]
 
 let test_pool_map_order () =
-  Domain_pool.with_pool ~domains:4 (fun pool ->
-      let r = Domain_pool.map_shards pool ~shards:33 (fun i -> i * i) in
-      Alcotest.(check int) "length" 33 (Array.length r);
-      Array.iteri (fun i v -> Alcotest.(check int) "canonical order" (i * i) v) r)
+  let xs = List.init 33 Fun.id in
+  List.iter
+    (fun domains ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "list order at %d domains" domains)
+        (List.map (fun i -> i * i) xs)
+        (Domain_pool.map (Domain_pool.create ~domains) (fun i -> i * i) xs))
+    [ 1; 2; 4 ];
+  Alcotest.(check (list int)) "empty" []
+    (Domain_pool.map (Domain_pool.create ~domains:4) Fun.id [])
 
 exception Boom of int
 
-let test_pool_exception_canonical () =
-  (* Shards 3 and 7 both fail; the pool must re-raise shard 3's exception
-     (the canonical lowest) no matter how many domains ran the batch. *)
+let test_pool_exception_lowest () =
+  (* Tasks 3 and 7 both fail.  On several domains 3 waits (boundedly)
+     for 7 to fail first, yet 3's exception is the one re-raised. *)
   let attempt domains =
+    let seven_failed = Atomic.make false in
     try
-      Domain_pool.with_pool ~domains (fun pool ->
-          Domain_pool.run pool ~shards:16 (fun i ->
-              if i = 3 || i = 7 then raise (Boom i)));
+      ignore
+        (Domain_pool.map (Domain_pool.create ~domains)
+           (fun i ->
+             if i = 3 then begin
+               let spins = ref 0 in
+               while (not (Atomic.get seven_failed)) && !spins < 10_000_000 do
+                 incr spins
+               done;
+               raise (Boom 3)
+             end;
+             if i = 7 then begin
+               Atomic.set seven_failed true;
+               raise (Boom 7)
+             end)
+           (List.init 16 Fun.id));
       None
     with Boom i -> Some i
   in
-  Alcotest.(check (option int)) "1 domain" (Some 3) (attempt 1);
-  Alcotest.(check (option int)) "4 domains" (Some 3) (attempt 4)
-
-let test_pool_reentrant_inline () =
-  Domain_pool.with_pool ~domains:3 (fun pool ->
-      let hits = Array.make (4 * 8) 0 in
-      Domain_pool.run pool ~shards:4 (fun i ->
-          Domain_pool.run pool ~shards:8 (fun j ->
-              hits.((i * 8) + j) <- hits.((i * 8) + j) + 1));
-      Array.iteri
-        (fun k n ->
-          if n <> 1 then Alcotest.failf "nested shard %d ran %d times" k n)
-        hits)
-
-let test_reduce_concat_and_sums () =
-  let segs = [| [| 1; 2 |]; [||]; [| 3 |]; [| 4; 5; 6 |] |] in
-  Alcotest.(check (list int)) "concat in shard order" [ 1; 2; 3; 4; 5; 6 ]
-    (Array.to_list (Reduce.concat segs));
-  Alcotest.(check int) "sum_ints" 21
-    (Reduce.sum_ints (Array.map (Array.fold_left ( + ) 0) segs));
-  (* Left-to-right float summation: compare against an explicit fold. *)
-  let floats = [| 0.1; 0.2; 0.3; 1e16; 1.0; -1e16 |] in
-  Alcotest.(check bool) "sum_floats is the left fold, bit-exact" true
-    (Int64.bits_of_float (Reduce.sum_floats floats)
-    = Int64.bits_of_float (Array.fold_left ( +. ) 0.0 floats))
-
-(* A machine whose page table holds the aftermath of a random (seeded)
-   swap schedule — the state the sweep properties run against. *)
-let sweep_fixture ~seed =
-  let case = Differential.gen_case ~arena_pages:1536 ~seed () in
-  let machine =
-    Machine.create ~ncores:4 ~phys_mib:64 Svagc_vmem.Cost_model.xeon_6130
-  in
-  let proc = Process.create ~name:"par-sweep" machine in
-  Svagc_vmem.Address_space.map_range (Process.aspace proc)
-    ~va:Differential.arena_base ~pages:case.Differential.arena_pages;
   List.iter
-    (fun req ->
-      ignore
-        (Svagc_kernel.Swapva.swap_disjoint_flat proc ~pmd_caching:true
-           ~leaf_swap:false req))
-    case.Differential.requests;
-  ( machine,
-    Svagc_vmem.Address_space.page_table (Process.aspace proc),
-    case.Differential.arena_pages )
+    (fun domains ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "%d domains" domains)
+        (Some 3) (attempt domains))
+    [ 1; 2; 4 ]
 
-let prop_sweep_partition_invariant =
-  qtest ~count:12 "sweep checksum & perf delta are partition-invariant"
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let machine, pt, pages = sweep_fixture ~seed in
-      let va = Differential.arena_base in
-      let reference = Par_sweep.checksum_reference pt ~va ~pages in
-      let observe shards =
-        let before = Perf.copy machine.Machine.perf in
-        let r = Par_sweep.run machine pt ~va ~pages ~shards in
-        let delta =
-          Perf.to_assoc (Perf.diff ~after:machine.Machine.perf ~before)
+let test_pool_nested_inline () =
+  let pool = Domain_pool.create ~domains:3 in
+  let outer = Domain.self () in
+  let results =
+    Domain_pool.map pool
+      (fun i ->
+        let here = Domain.self () in
+        Domain_pool.map pool
+          (fun j -> (i, j, Domain.self () = here))
+          (List.init 8 Fun.id))
+      (List.init 4 Fun.id)
+  in
+  List.iteri
+    (fun i inner ->
+      List.iteri
+        (fun j (i', j', same_domain) ->
+          if i' <> i || j' <> j then
+            Alcotest.failf "nested result (%d, %d) at (%d, %d)" i' j' i j;
+          if not same_domain then
+            Alcotest.failf "nested task (%d, %d) left its parent's domain" i j)
+        inner)
+    results;
+  Alcotest.(check bool) "caller domain unchanged" true (Domain.self () = outer)
+
+let test_pool_create_bounds () =
+  List.iter
+    (fun domains ->
+      Alcotest.check_raises
+        (Printf.sprintf "domains = %d" domains)
+        (Invalid_argument "Domain_pool.create: domains out of range")
+        (fun () -> ignore (Domain_pool.create ~domains)))
+    [ 0; -3; Domain_pool.max_domains + 1 ];
+  List.iter
+    (fun domains ->
+      Alcotest.(check int) "domains echoed" domains
+        (Domain_pool.domains (Domain_pool.create ~domains)))
+    [ 1; Domain_pool.max_domains ]
+
+let test_pids_unique_across_domains () =
+  (* Each task builds its own machine and a batch of processes on it; the
+     pid counter is shared by every domain. *)
+  let pids =
+    Domain_pool.map (Domain_pool.create ~domains:4)
+      (fun _ ->
+        let machine =
+          Svagc_vmem.Machine.create ~ncores:2 ~phys_mib:4
+            Svagc_vmem.Cost_model.xeon_6130
         in
-        (r.Par_sweep.checksum, r.Par_sweep.leaves, r.Par_sweep.present,
-         r.Par_sweep.swapped, delta)
-      in
-      let (cks1, l1, p1, s1, d1) = observe 1 in
-      cks1 = reference
-      && List.for_all
-           (fun shards -> observe shards = (cks1, l1, p1, s1, d1))
-           [ 2; 3; 5; 8; 16 ])
-
-let test_sweep_domain_invariant () =
-  (* Identical fixtures, identical shard count, different domain counts:
-     every field — float costs included — must be bit-identical. *)
-  let va = Differential.arena_base in
-  let run_with domains =
-    let machine, pt, pages = sweep_fixture ~seed:11 in
-    let r =
-      Domain_pool.with_pool ~domains (fun pool ->
-          Par_sweep.run ~pool machine pt ~va ~pages ~shards:8)
-    in
-    (r, Perf.to_assoc machine.Machine.perf)
+        List.init 200 (fun _ -> Process.pid (Process.create machine)))
+      (List.init 8 Fun.id)
+    |> List.concat
   in
-  let r1, c1 = run_with 1 in
-  let r4, c4 = run_with 4 in
-  Alcotest.(check bool) "sweep results structurally equal" true (r1 = r4);
-  Alcotest.(check bool) "walk_ns bit-identical" true
-    (Int64.bits_of_float r1.Par_sweep.walk_ns
-    = Int64.bits_of_float r4.Par_sweep.walk_ns);
-  Alcotest.(check bool) "makespan_ns bit-identical" true
-    (Int64.bits_of_float r1.Par_sweep.makespan_ns
-    = Int64.bits_of_float r4.Par_sweep.makespan_ns);
-  Alcotest.(check bool) "machine counters identical" true (c1 = c4)
-
-let test_sweep_domain_safety_law () =
-  let machine, pt, pages = sweep_fixture ~seed:5 in
-  let r =
-    Par_sweep.run machine pt ~va:Differential.arena_base ~pages ~shards:7
-  in
-  match Svagc_check.Check.domain_safety r with
-  | _, [] -> ()
-  | _, f :: _ ->
-    Alcotest.failf "domain-safety finding: %a" Svagc_check.Check.pp_finding f
+  Alcotest.(check int) "every pid distinct" (List.length pids)
+    (List.length (List.sort_uniq compare pids))
 
 let () =
   Alcotest.run "svagc_par"
@@ -385,24 +346,16 @@ let () =
         ] );
       ( "domain_pool",
         [
-          prop_slice_partitions;
           Alcotest.test_case "execute once, any domains" `Quick
             test_pool_executes_once;
           Alcotest.test_case "map in canonical order" `Quick
             test_pool_map_order;
           Alcotest.test_case "canonical exception" `Quick
-            test_pool_exception_canonical;
+            test_pool_exception_lowest;
           Alcotest.test_case "re-entrant run degrades inline" `Quick
-            test_pool_reentrant_inline;
-          Alcotest.test_case "reduce combinators" `Quick
-            test_reduce_concat_and_sums;
-        ] );
-      ( "par_sweep",
-        [
-          prop_sweep_partition_invariant;
-          Alcotest.test_case "domain-invariant to the bit" `Quick
-            test_sweep_domain_invariant;
-          Alcotest.test_case "domain-safety law" `Quick
-            test_sweep_domain_safety_law;
+            test_pool_nested_inline;
+          Alcotest.test_case "create bounds" `Quick test_pool_create_bounds;
+          Alcotest.test_case "pids unique across domains" `Quick
+            test_pids_unique_across_domains;
         ] );
     ]
