@@ -50,6 +50,9 @@ let print_check_report rep =
 let unknown_experiment id =
   Printf.sprintf "unknown experiment %S (see `svagc list`)" id
 
+let unknown_workload name =
+  Printf.sprintf "unknown workload %S (see `svagc list`)" name
+
 (* Resolve every id ("all" expands to the registry) before any runs, so
    a bad id is a usage error rather than a failure after partial output. *)
 let experiments_of ids =
@@ -80,14 +83,11 @@ let exp_cmd =
              10000 --quick).")
   in
   let run quick check tenants ids =
-    (match tenants with
-    | Some n when n < 1 ->
-      Printf.eprintf "--tenants must be >= 1\n";
-      exit 1
-    | _ -> Svagc_experiments.Exp_fleet.tenants_override := tenants);
-    match experiments_of ids with
-    | Error msg -> `Error (false, msg)
-    | Ok exps ->
+    match (tenants, experiments_of ids) with
+    | Some n, _ when n < 1 -> `Error (false, "--tenants must be >= 1")
+    | _, Error msg -> `Error (false, msg)
+    | _, Ok exps ->
+      Svagc_experiments.Exp_fleet.tenants_override := tenants;
       if check then Svagc_check.Check.enable ~label:(String.concat "+" ids) ();
       run_experiments ~quick exps;
       (if check then
@@ -173,35 +173,32 @@ let swap_cost_arg =
            swap-in) with NS nanoseconds per page transfer. Only \
            meaningful together with $(b,--mem-limit-frames).")
 
-let parse_fault_spec spec =
-  match Svagc_fault.Fault_spec.parse spec with
-  | Ok s -> s
-  | Error msg ->
-    Printf.eprintf "--fault-spec: %s\n" msg;
-    exit 1
-
-let svagc_config ~no_coalesce ~pmd_leaf_swap ~fault_spec ~fault_seed
-    ~mem_limit_frames ~swap_cost_ns =
-  {
-    Svagc_core.Config.default with
-    Svagc_core.Config.coalesce_runs = not no_coalesce;
-    pmd_leaf_swap;
-    fault_spec = parse_fault_spec fault_spec;
-    fault_seed;
-    mem_limit_frames;
-    swap_cost_ns;
-  }
-
-(* Reject a bad run before any output, as a usage error: the SVAGC
-   config's own checks, then the run-shape arguments. *)
-let validate_run ~config ~heap_factor ~steps =
-  match Svagc_core.Config.check config with
-  | Error _ as e -> e
-  | Ok () ->
-    if not (Float.is_finite heap_factor && heap_factor > 0.0) then
-      Error "--heap-factor must be a finite positive number"
-    else if steps < 0 then Error "--steps must be >= 0"
-    else Ok ()
+(* Build a bench/trace run's SVAGC config and reject a bad run before any
+   output, as a usage error: the fault spec, the config's own checks,
+   then the run-shape arguments. *)
+let run_config ~no_coalesce ~pmd_leaf_swap ~fault_spec ~fault_seed
+    ~mem_limit_frames ~swap_cost_ns ~heap_factor ~steps =
+  match Svagc_fault.Fault_spec.parse fault_spec with
+  | Error msg -> Error ("--fault-spec: " ^ msg)
+  | Ok fault_spec -> (
+    let config =
+      {
+        Svagc_core.Config.default with
+        Svagc_core.Config.coalesce_runs = not no_coalesce;
+        pmd_leaf_swap;
+        fault_spec;
+        fault_seed;
+        mem_limit_frames;
+        swap_cost_ns;
+      }
+    in
+    match Svagc_core.Config.check config with
+    | Error _ as e -> e
+    | Ok () ->
+      if not (Float.is_finite heap_factor && heap_factor > 0.0) then
+        Error "--heap-factor must be a finite positive number"
+      else if steps < 0 then Error "--steps must be >= 0"
+      else Ok config)
 
 (* Arm memory pressure on a freshly created machine, ahead of any JVM, so
    heap pages are LRU-tracked from the first mapping.  The Move_object
@@ -238,19 +235,17 @@ let bench_cmd =
   let steps = Arg.(value & opt int 60 & info [ "steps" ] ~doc:"Mutator steps.") in
   let run workload_name collectors heap_factor steps no_coalesce pmd_leaf_swap
       fault_spec fault_seed mem_limit_frames swap_cost_ns =
-    let workload =
-      try Svagc_workloads.Spec.find workload_name
-      with Not_found ->
-        Printf.eprintf "unknown workload %S (see `svagc list`)\n" workload_name;
-        exit 1
+    let checked =
+      match Svagc_workloads.Spec.find workload_name with
+      | exception Not_found -> Error (unknown_workload workload_name)
+      | workload ->
+        run_config ~no_coalesce ~pmd_leaf_swap ~fault_spec ~fault_seed
+          ~mem_limit_frames ~swap_cost_ns ~heap_factor ~steps
+        |> Result.map (fun config -> (workload, config))
     in
-    let config =
-      svagc_config ~no_coalesce ~pmd_leaf_swap ~fault_spec ~fault_seed
-        ~mem_limit_frames ~swap_cost_ns
-    in
-    match validate_run ~config ~heap_factor ~steps with
+    match checked with
     | Error msg -> `Error (false, msg)
-    | Ok () ->
+    | Ok (workload, config) ->
       Report.section (Printf.sprintf "%s @ %.1fx min heap" workload_name heap_factor);
       List.iter
         (fun kind ->
@@ -348,10 +343,6 @@ let trace_cmd =
       swap_cost_ns =
     let module Tracer = Svagc_trace.Tracer in
     let module Machine = Svagc_vmem.Machine in
-    let config =
-      svagc_config ~no_coalesce ~pmd_leaf_swap ~fault_spec ~fault_seed
-        ~mem_limit_frames ~swap_cost_ns
-    in
     (* The source is resolved and the output file opened before tracing
        starts, so a bad id or an unwritable path is a usage error that
        leaves no file behind, rather than a failure after the run. *)
@@ -363,23 +354,26 @@ let trace_cmd =
         | None -> Error (unknown_experiment id))
       | None, Some name -> (
         try Ok (`Workload (Svagc_workloads.Spec.find name))
-        with Not_found ->
-          Error (Printf.sprintf "unknown workload %S (see `svagc list`)" name))
+        with Not_found -> Error (unknown_workload name))
       | None, None -> Error "pass --workload NAME or --exp ID"
     in
     let checked =
       if capacity <= 0 then
         Error (Printf.sprintf "--capacity must be positive (got %d)" capacity)
       else
-        match (source, validate_run ~config ~heap_factor ~steps) with
+        match
+          ( source,
+            run_config ~no_coalesce ~pmd_leaf_swap ~fault_spec ~fault_seed
+              ~mem_limit_frames ~swap_cost_ns ~heap_factor ~steps )
+        with
         | (Error _ as e), _ | _, (Error _ as e) -> e
-        | Ok source, Ok () -> (
-          try Ok (source, open_out_bin out)
+        | Ok source, Ok config -> (
+          try Ok (source, config, open_out_bin out)
           with Sys_error msg -> Error ("cannot write trace: " ^ msg))
     in
     match checked with
     | Error msg -> `Error (false, msg)
-    | Ok (source, oc) ->
+    | Ok (source, config, oc) ->
       let tracer = Tracer.start ~capacity () in
       (match source with
       | `Experiment e -> e.Registry.run ~quick:true ()

@@ -173,9 +173,8 @@ let counter_laws machine =
     (p.Perf.tier_demotions <= p.Perf.pages_swapped_out)
     "tier_demotions = %d exceeds pages_swapped_out = %d"
     p.Perf.tier_demotions p.Perf.pages_swapped_out;
-  (* Event-calendar accounting: an event is dispatched or cancelled at
-     most once, and only after being scheduled — lazy cancellation must
-     never double-count a seq. *)
+  (* Co-run step accounting: a step is dispatched or cancelled at most
+     once, and only after being scheduled. *)
   law a "counter-law"
     (p.Perf.sched_dispatched + p.Perf.sched_cancelled
     <= p.Perf.sched_scheduled)

@@ -70,8 +70,8 @@ val counter_laws : Svagc_vmem.Machine.t -> int * finding list
     [ptes_swapped >= 2 * pmd_leaf_swaps],
     [pages_swapped_in <= pages_swapped_out],
     [major_faults >= pages_swapped_in], and
-    [sched_dispatched + sched_cancelled <= sched_scheduled] (event
-    calendar: every firing/cancel consumes a distinct scheduled seq). *)
+    [sched_dispatched + sched_cancelled <= sched_scheduled] (every
+    co-run step runs or is dropped at most once, after being queued). *)
 
 val bitset_laws :
   tables:(int * Svagc_vmem.Page_table.t) list -> int * finding list

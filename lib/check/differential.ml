@@ -196,86 +196,6 @@ let zero_fault_identity case =
         label);
   (!items, List.rev !findings)
 
-(* --- scheduler identity: calendar vs lockstep scan --- *)
-
-module Engine = Svagc_sched.Engine
-
-type sched_case = {
-  sc_seed : int;
-  sc_firsts : float array;  (** entry ns per proc (small ints: many ties) *)
-  sc_plans : int array array;  (** per-proc stride sequence; 0 keeps ties *)
-}
-
-(* Strides and entry times are drawn UP FRONT so both replays consume the
-   identical schedule regardless of interleaving; small integer ns with
-   stride 0 allowed makes same-instant ties — the FIFO tie-break under
-   test — common rather than exceptional. *)
-let gen_sched_case ?(max_procs = 12) ?(max_events = 16) ~seed () =
-  let rng = Rng.create ~seed in
-  let nprocs = 1 + Rng.int rng max_procs in
-  let firsts =
-    Array.init nprocs (fun _ -> float_of_int (Rng.int rng 4))
-  in
-  let plans =
-    Array.init nprocs (fun _ ->
-        Array.init (Rng.int rng max_events) (fun _ -> Rng.int rng 3))
-  in
-  { sc_seed = seed; sc_firsts = firsts; sc_plans = plans }
-
-(* Replay one schedule through an engine, logging every firing as
-   (proc index, simulated ns) — the whole observable behaviour. *)
-let sched_replay case engine =
-  let order = ref [] in
-  let procs =
-    Array.mapi
-      (fun i plan ->
-        let pos = ref 0 in
-        Engine.proc ~first_ns:case.sc_firsts.(i) (fun ~now ->
-            order := (i, now) :: !order;
-            if !pos >= Array.length plan then Engine.done_ns
-            else begin
-              let d = plan.(!pos) in
-              incr pos;
-              now +. float_of_int d
-            end))
-      case.sc_plans
-  in
-  let fired =
-    match engine with
-    | `Scan -> Engine.run_lockstep_scan procs
-    | `Calendar -> Engine.run_calendar procs
-  in
-  (fired, List.rev !order)
-
-let sched_identity case =
-  let items = ref 0 and findings = ref [] in
-  let law ok f =
-    incr items;
-    if not ok then findings := f () :: !findings
-  in
-  let scan_n, scan_order = sched_replay case `Scan in
-  let cal_n, cal_order = sched_replay case `Calendar in
-  let label =
-    Printf.sprintf "sched case seed=%d (%d procs)" case.sc_seed
-      (Array.length case.sc_plans)
-  in
-  law (scan_n = cal_n) (fun () ->
-      mk "sched-identity" "%s: calendar fired %d events, lockstep scan %d"
-        label cal_n scan_n);
-  law (scan_order = cal_order) (fun () ->
-      let rec first_div k a b =
-        match (a, b) with
-        | (i1, t1) :: _, (i2, t2) :: _ when i1 <> i2 || t1 <> t2 ->
-          Printf.sprintf "event #%d: calendar (proc %d, %g ns) vs scan (proc \
-                          %d, %g ns)"
-            k i2 t2 i1 t1
-        | _ :: a, _ :: b -> first_div (k + 1) a b
-        | _ -> "one replay is a prefix of the other"
-      in
-      mk "sched-identity" "%s: firing orders diverge: %s" label
-        (first_div 0 scan_order cal_order));
-  (!items + scan_n, List.rev !findings)
-
 (* --- work-steal makespan: flat replay vs the deque executor --- *)
 
 module Work_steal = Svagc_par.Work_steal
@@ -416,10 +336,9 @@ let run_suite ?(cases = 40) ?(seed = 0xC0FFEE) () =
     let case = gen_case ~arena_pages ~seed:(seed + i) () in
     let n1, f1 = compare_case case in
     let n2, f2 = zero_fault_identity case in
-    let n3, f3 = sched_identity (gen_sched_case ~seed:(seed + i) ()) in
-    let n4, f4 = makespan_identity ~seed:(seed + i) in
-    items := !items + n1 + n2 + n3 + n4;
-    findings := !findings @ f1 @ f2 @ f3 @ f4
+    let n3, f3 = makespan_identity ~seed:(seed + i) in
+    items := !items + n1 + n2 + n3;
+    findings := !findings @ f1 @ f2 @ f3
   done;
   (* Host-parallelism identity is a full double GC per run, so map a
      handful of seeds rather than one per case. *)

@@ -50,28 +50,11 @@ val replay : path -> case -> replay
     machine. *)
 
 val compare_case : case -> int * Check.finding list
-(** Engine equivalences for one case (see the module header). *)
+(** The engine equivalences for one case (see the module header). *)
 
 val zero_fault_identity : case -> int * Check.finding list
 (** Full-syscall replays with no injector vs. an all-zero-rate injector
     must be bit-identical. *)
-
-type sched_case = {
-  sc_seed : int;
-  sc_firsts : float array;  (** entry ns per proc (small ints: many ties) *)
-  sc_plans : int array array;  (** per-proc stride sequence; 0 keeps ties *)
-}
-
-val gen_sched_case :
-  ?max_procs:int -> ?max_events:int -> seed:int -> unit -> sched_case
-(** Deterministic random schedule: strides and entry times drawn up front
-    so both replays consume the identical plan; small integer ns with
-    zero strides allowed make same-instant FIFO ties common. *)
-
-val sched_identity : sched_case -> int * Check.finding list
-(** Replay the schedule through [Svagc_sched.Engine.run_lockstep_scan] and
-    [run_calendar]; the (proc, ns) firing sequences must be bit-identical
-    (the calendar's FIFO tie-break contract). *)
 
 val makespan_identity : seed:int -> int * Check.finding list
 (** One random cost vector (1–16 threads, 0–500 tasks, many equal and
@@ -90,5 +73,5 @@ val par_identity :
 
 val run_suite : ?cases:int -> ?seed:int -> unit -> int * Check.finding list
 (** [cases] generated schedules (default 40) through {!compare_case},
-    {!zero_fault_identity}, {!sched_identity} and {!makespan_identity},
-    plus a handful of {!par_identity} replays; returns the combined (items, findings). *)
+    {!zero_fault_identity} and {!makespan_identity}, plus a handful of
+    {!par_identity} replays; returns the combined (items, findings). *)

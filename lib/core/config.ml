@@ -73,21 +73,3 @@ let check t =
   | Some (_, msg) -> Error ("Config: " ^ msg)
 
 let validate t = match check t with Ok () -> () | Error msg -> invalid_arg msg
-
-let pp ppf t =
-  Format.fprintf ppf
-    "svagc{threshold=%dp pmd=%b aggr=%b(batch=%d) coalesce=%b leaf_swap=%b \
-     overlap=%b flush=%a pin=%b threads=%d%t}"
-    t.threshold_pages t.pmd_caching t.aggregation t.aggregation_batch
-    t.coalesce_runs t.pmd_leaf_swap t.allow_overlap Shootdown.pp_policy t.flush
-    t.pin_compaction t.gc_threads
-    (fun ppf ->
-      if not (Svagc_fault.Fault_spec.is_empty t.fault_spec) then
-        Format.fprintf ppf " fault=%a seed=%d" Svagc_fault.Fault_spec.pp
-          t.fault_spec t.fault_seed;
-      (match t.mem_limit_frames with
-      | Some n -> Format.fprintf ppf " mem_limit=%df" n
-      | None -> ());
-      match t.swap_cost_ns with
-      | Some ns -> Format.fprintf ppf " swap_cost=%gns" ns
-      | None -> ())

@@ -61,5 +61,3 @@ val check : t -> (unit, string) Stdlib.result
 val validate : t -> unit
 (** {!check}, raising: what the collector constructors call.
     @raise Invalid_argument with {!check}'s message. *)
-
-val pp : Format.formatter -> t -> unit

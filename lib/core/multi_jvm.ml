@@ -27,30 +27,24 @@ let create ?mem_limit_frames ?swap_cost_ns ?swap_dev ?cgroup machine ~instances
 
 let jvms t = t.jvms
 
-(* Event-driven core: each JVM is a self-rescheduling process on the
-   calendar; step [s] is its event at simulated ns [s].  All processes
-   enter at ns 0 in index order and re-enter in firing order, so the
-   (ns, seq) FIFO heap replays the lockstep interleaving exactly (see
-   Svagc_sched.Engine) while idle tenants cost no host work. *)
+(* Lockstep: every instance takes step [s], in index order, before any
+   takes [s + 1].  The [sched_*] counters count n queued steps up front,
+   one dispatch per call and one re-queue per call that has a next step:
+   perfbench's digests pin those values, mid-run snapshots included. *)
 let run_round_robin_indexed t ~steps ~step =
   if steps > 0 then begin
-    let procs =
-      Array.mapi
+    let perf = t.machine.Machine.perf in
+    perf.Perf.sched_scheduled <- perf.Perf.sched_scheduled + Array.length t.jvms;
+    for s = 0 to steps - 1 do
+      Array.iteri
         (fun i jvm ->
-          Svagc_sched.Engine.proc ~first_ns:0.0 (fun ~now ->
-              let s = int_of_float now in
-              step ~index:i jvm s;
-              let s' = s + 1 in
-              if s' < steps then float_of_int s'
-              else Svagc_sched.Engine.done_ns))
+          perf.Perf.sched_dispatched <- perf.Perf.sched_dispatched + 1;
+          step ~index:i jvm s;
+          if s + 1 < steps then
+            perf.Perf.sched_scheduled <- perf.Perf.sched_scheduled + 1)
         t.jvms
-    in
-    ignore
-      (Svagc_sched.Engine.run_calendar ~perf:t.machine.Machine.perf procs)
+    done
   end
-
-let run_round_robin t ~steps ~step =
-  run_round_robin_indexed t ~steps ~step:(fun ~index:_ jvm s -> step jvm s)
 
 let max_total_ns t =
   Array.fold_left (fun acc jvm -> Float.max acc (Jvm.total_ns jvm)) 0.0 t.jvms

@@ -31,19 +31,14 @@ val create :
 
 val jvms : t -> Jvm.t array
 
-val run_round_robin : t -> steps:int -> step:(Jvm.t -> int -> unit) ->
-  unit
-(** Interleave [steps] iterations across the instances: step s goes to
-    every JVM in turn ([step jvm s]).  Backed by the
-    {!Svagc_sched.Calendar} event-driven core; the firing order is
-    bit-identical to the nested lockstep loop (every JVM takes step [s]
-    before any takes [s + 1]): FIFO seq tie-breaking replays the wave
-    interleaving exactly, with {!Svagc_sched.Engine.run_lockstep_scan} as
-    the scheduler's reference. *)
-
 val run_round_robin_indexed :
   t -> steps:int -> step:(index:int -> Jvm.t -> int -> unit) -> unit
-(** Same engine, passing each instance's index to [step]. *)
+(** Interleave [steps] iterations across the instances in lockstep: every
+    instance takes step [s] ([step ~index jvm s], in index order) before
+    any takes [s + 1].  Bumps the machine's [sched_scheduled] by the
+    instance count before the first step, [sched_dispatched] before each
+    call and [sched_scheduled] after each call that has a next step, so
+    both read [instances * steps] at the end. *)
 
 val max_total_ns : t -> float
 (** Wall-clock of the co-run: the slowest instance. *)

@@ -157,7 +157,6 @@ let run_knockout w (label, cfg) =
     incr executed
   done;
   let gc = Svagc_core.Jvm.gc_ns jvm in
-  Gc.full_major ();
   (label, gc)
 
 let run ?(quick = false) () =

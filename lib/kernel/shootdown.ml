@@ -71,5 +71,3 @@ let cycle_prologue machine ~asid ~core policy =
   match policy with
   | Broadcast_per_call | Process_targeted | Self_invalidate -> 0.0
   | Local_pinned -> Machine.flush_tlb_all_cores machine ~asid ~from_core:core
-
-let pp_policy ppf p = Format.pp_print_string ppf (policy_name p)

@@ -68,12 +68,14 @@ type t = {
       (** tenants refused outright by fleet admission control (neither
           admitted nor queued) *)
   mutable sched_scheduled : int;
-      (** events inserted into an event calendar ({!Svagc_sched.Calendar}) *)
+      (** co-run steps queued by [Multi_jvm]'s lockstep driver: one per
+          instance up front, then one per step that has a successor *)
   mutable sched_dispatched : int;
-      (** calendar events actually delivered to their process; always
+      (** co-run steps delivered to their instance; always
           [<= sched_scheduled - sched_cancelled] *)
   mutable sched_cancelled : int;
-      (** calendar events removed before firing (lazy deletion) *)
+      (** queued steps dropped before running; the lockstep driver
+          never drops one, so it stays 0 *)
 }
 
 val create : unit -> t
@@ -94,5 +96,3 @@ val add : into:t -> t -> unit
 val to_assoc : t -> (string * int) list
 (** Every counter as [(name, value)], in declaration order.  This is the
     counter source the trace recorder snapshots around spans. *)
-
-val pp : Format.formatter -> t -> unit

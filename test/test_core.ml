@@ -1,8 +1,8 @@
 (* Tests for the paper's contribution: SVAGC configuration, MoveObject,
-   the SwapVA mover, JVM instances and multi-JVM contention.  The central
-   differential property: an SVAGC collection must leave the heap in
-   exactly the state a memmove collection leaves it in — same addresses,
-   same bytes — while copying almost nothing. *)
+   the SwapVA mover, JVM instances, multi-JVM contention and the lockstep
+   co-run driver.  The central differential property: an SVAGC collection
+   must leave the heap in exactly the state a memmove collection leaves it
+   in — same addresses, same bytes — while copying almost nothing. *)
 
 open Svagc_vmem
 open Svagc_heap
@@ -263,6 +263,50 @@ let test_multi_jvm_bandwidth_division () =
   let crowded = Svagc_kernel.Memmove.cost_ns ~cold:true machine ~len:(1 lsl 20) in
   Alcotest.(check bool) "contended copies slower" true (crowded > solo *. 1.2)
 
+(* The driver's whole contract: every instance takes step [s], in index
+   order, before any takes [s + 1], and the sched_* counters read n
+   queued up front, a dispatch per call and a re-queue per call that has
+   a next step, mid-run included (perfbench's digests pin them). *)
+let test_multi_jvm_lockstep_driver () =
+  let n = 3 and steps = 5 in
+  let machine = Helpers.machine () in
+  let perf = machine.Machine.perf in
+  let multi =
+    Multi_jvm.create machine ~instances:n ~spawn:(fun ~index m ->
+        Jvm.create m
+          ~name:(Printf.sprintf "jvm-%d" index)
+          ~heap_bytes:(2 * 1024 * 1024)
+          ~collector_of:(Svagc.collector ~config:Config.default)
+          ())
+  in
+  let calls = ref [] in
+  let k = ref 0 in
+  Multi_jvm.run_round_robin_indexed multi ~steps ~step:(fun ~index jvm s ->
+      incr k;
+      Alcotest.(check bool) "jvm matches index" true
+        ((Multi_jvm.jvms multi).(index) == jvm);
+      Alcotest.(check int) "dispatched inside call k" !k
+        perf.Perf.sched_dispatched;
+      Alcotest.(check int) "scheduled inside call k"
+        (n + min (!k - 1) (n * (steps - 1)))
+        perf.Perf.sched_scheduled;
+      calls := (index, s) :: !calls);
+  Alcotest.(check (list (pair int int)))
+    "step s in index order before any s + 1"
+    (List.init (n * steps) (fun c -> (c mod n, c / n)))
+    (List.rev !calls);
+  Alcotest.(check int) "dispatched at end" (n * steps)
+    perf.Perf.sched_dispatched;
+  Alcotest.(check int) "scheduled at end" (n * steps) perf.Perf.sched_scheduled;
+  Alcotest.(check int) "nothing cancelled" 0 perf.Perf.sched_cancelled;
+  Multi_jvm.run_round_robin_indexed multi ~steps:0 ~step:(fun ~index:_ _ _ ->
+      Alcotest.fail "steps = 0 must not call step");
+  Alcotest.(check int) "steps = 0: dispatched untouched" (n * steps)
+    perf.Perf.sched_dispatched;
+  Alcotest.(check int) "steps = 0: scheduled untouched" (n * steps)
+    perf.Perf.sched_scheduled;
+  Multi_jvm.release multi
+
 let () =
   Alcotest.run "svagc_core"
     [
@@ -303,5 +347,7 @@ let () =
         [
           Alcotest.test_case "contention level" `Quick test_multi_jvm_contention;
           Alcotest.test_case "bandwidth division" `Quick test_multi_jvm_bandwidth_division;
+          Alcotest.test_case "lockstep driver" `Quick
+            test_multi_jvm_lockstep_driver;
         ] );
     ]
